@@ -6,21 +6,10 @@ This subpackage is the executable substrate for the whole reproduction
 * :class:`~repro.des.simulator.Simulator` — clock, event queue, run loop;
 * :mod:`~repro.des.random` — independent seeded RNG streams and named
   distribution objects;
-* :mod:`~repro.des.process` — a small generator-based process layer;
-* :mod:`~repro.des.resources` — Resource / Store queueing primitives;
 * :mod:`~repro.des.trace` — structured run tracing.
 """
 
 from .events import PRIORITY_EARLY, PRIORITY_LATE, PRIORITY_NORMAL, EventHandle
-from .process import (
-    AllOf,
-    AnyOf,
-    Interrupted,
-    Process,
-    Timeout,
-    Waiter,
-    start_process,
-)
 from .queue import EventQueue
 from .random import (
     Deterministic,
@@ -33,7 +22,6 @@ from .random import (
     Uniform,
     as_distribution,
 )
-from .resources import Resource, Store
 from .simulator import SimulationError, Simulator
 from .trace import NULL_TRACER, Tracer, TraceRecord
 
@@ -54,15 +42,6 @@ __all__ = [
     "LogNormal",
     "Empirical",
     "as_distribution",
-    "Process",
-    "start_process",
-    "Timeout",
-    "Waiter",
-    "AllOf",
-    "AnyOf",
-    "Interrupted",
-    "Resource",
-    "Store",
     "Tracer",
     "TraceRecord",
     "NULL_TRACER",

@@ -2,8 +2,7 @@
 
 This is the executable substrate for every model in the package (the phone
 network model in :mod:`repro.core` schedules callbacks directly; the SAN
-layer in :mod:`repro.san` and the process layer in
-:mod:`repro.des.process` are built on top of it).
+layer in :mod:`repro.san` is built on top of it).
 
 Semantics:
 

@@ -16,7 +16,10 @@ supplies the three pieces the execution stack threads together:
 * :mod:`repro.resilience.checkpoint` — :class:`CampaignCheckpoint`:
   periodic atomic snapshots of completed replication keys, reconciled
   against the result cache on ``--resume`` so an interrupted campaign
-  restarts only missing work.
+  restarts only missing work;
+* :mod:`repro.resilience.log` — the one durable JSONL log (atomic
+  rewrite, fsync'd append, torn-tail-aware replay) under both the
+  checkpoint and the campaign daemon's journal.
 
 Results stay byte-identical to fault-free runs: supervision only decides
 *where and when* a replication executes, never *what* it computes — each
@@ -31,10 +34,10 @@ from .checkpoint import (
     CheckpointLoad,
     ResumeReport,
     default_checkpoint_path,
-    fsync_directory,
     load_checkpoint,
     load_checkpoint_report,
 )
+from .log import fsync_directory
 from .policy import RetryPolicy
 from .supervisor import (
     FailureEvent,

@@ -16,48 +16,28 @@ truth for data, the checkpoint only for progress accounting (and for
 reporting ``resumed / lost / fresh`` splits in the run manifest).
 
 Durability (format v2): the file is JSONL — a header line followed by
-``{"completed": [...]}`` batch lines.  The first flush is an atomic
-rewrite (tmp file + fsync + ``os.replace`` + **directory fsync**, so the
-rename itself survives a power cut); subsequent flushes append one
-fsync'd batch line, which is what lets the campaign service checkpoint
-thousands of completions without rewriting the whole snapshot each time.
-A crash mid-append leaves at most one torn trailing line, which
-:func:`load_checkpoint` skips (and reports) instead of discarding the
-file.  Legacy v1 single-document snapshots are still readable.
+``{"completed": [...]}`` batch lines, written through
+:mod:`repro.resilience.log`.  The first flush is an atomic rewrite
+(:func:`~repro.resilience.log.write_atomic`); subsequent flushes append
+one fsync'd batch line, which is what lets the campaign service
+checkpoint thousands of completions without rewriting the whole snapshot
+each time.  A crash mid-append leaves at most one torn trailing line,
+which :func:`load_checkpoint` skips (and reports) instead of discarding
+the file.  Legacy v1 single-document snapshots are still readable.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
+
+from .log import append_line, open_append, replay, write_atomic
 
 #: Bump when the checkpoint document layout changes.
 #: v2: JSONL (header line + appended completion batches), fsync'd writes.
 CHECKPOINT_SCHEMA_VERSION = 2
-
-
-def fsync_directory(path: Union[str, Path]) -> None:
-    """fsync a directory so a rename/create inside it is durable.
-
-    ``os.replace`` makes a write atomic but not durable — the directory
-    entry itself lives in the parent, which must be fsync'd separately
-    for the rename to survive a power cut.  Best-effort: platforms that
-    cannot open directories (or refuse to fsync them) are skipped.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic platforms
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - e.g. some network filesystems
-        pass
-    finally:
-        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -74,12 +54,7 @@ class ResumeReport:
     fresh: int
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "previously_completed": self.previously_completed,
-            "resumed_from_cache": self.resumed_from_cache,
-            "lost_entries": self.lost_entries,
-            "fresh": self.fresh,
-        }
+        return asdict(self)
 
     def format(self) -> str:
         """One-line summary for CLI reporting."""
@@ -168,40 +143,14 @@ class CampaignCheckpoint:
             "checkpoint_schema": CHECKPOINT_SCHEMA_VERSION,
             "label": self.label,
         }
+        lines = [json.dumps(header, sort_keys=True)]
+        if self.completed:
+            lines.append(
+                json.dumps({"completed": sorted(self.completed)}, sort_keys=True)
+            )
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                tmp.write(json.dumps(header, sort_keys=True) + "\n")
-                if self.completed:
-                    tmp.write(
-                        json.dumps(
-                            {"completed": sorted(self.completed)},
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                tmp.flush()
-                os.fsync(tmp.fileno())
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        fsync_directory(self.path.parent)
+        write_atomic(self.path, lines)
         self._rewrite_needed = False
-
-    def _append_batch(self) -> None:
-        """Append one fsync'd batch line with the keys pending flush."""
-        line = json.dumps({"completed": list(self._pending)}, sort_keys=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
 
     def flush(self) -> Optional[Path]:
         """Durably persist progress (no-op when unchanged)."""
@@ -210,7 +159,10 @@ class CampaignCheckpoint:
         if self._rewrite_needed or not self.path.exists():
             self._rewrite()
         elif self._pending:
-            self._append_batch()
+            # One fsync'd batch line with the keys pending flush.
+            line = json.dumps({"completed": self._pending}, sort_keys=True)
+            with open_append(self.path) as handle:
+                append_line(handle, line)
         self._dirty = 0
         self._pending = []
         self.flushes += 1
@@ -261,18 +213,20 @@ def load_checkpoint_report(path: Union[str, Path]) -> CheckpointLoad:
     line — the only damage a crashed append can cause — is skipped and
     reported while every earlier batch is recovered.
     """
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        replayed = replay(path)
     except OSError:
         return CheckpointLoad(keys=None)
-    lines = [line for line in text.split("\n") if line.strip()]
+    if replayed.bad_lines:
+        return CheckpointLoad(keys=None)
+    lines = replayed.records
     if not lines:
-        return CheckpointLoad(keys=None)
-    try:
-        header = json.loads(lines[0])
-    except ValueError:
-        return CheckpointLoad(keys=None)
+        # Legacy v1 is one JSON document without a trailing newline.
+        try:
+            lines = [json.loads(replayed.tail)]
+        except ValueError:
+            return CheckpointLoad(keys=None)
+    header = lines[0]
     if not isinstance(header, dict):
         return CheckpointLoad(keys=None)
     schema = header.get("checkpoint_schema")
@@ -283,15 +237,7 @@ def load_checkpoint_report(path: Union[str, Path]) -> CheckpointLoad:
         return CheckpointLoad(keys=None)
     keys: List[str] = []
     seen: Set[str] = set()
-    torn = False
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            batch = json.loads(line)
-        except ValueError:
-            if number == len(lines):
-                torn = True  # crash mid-append: skip and report
-                break
-            return CheckpointLoad(keys=None)
+    for batch in lines[1:]:
         batch_keys = (
             _valid_keys(batch.get("completed"))
             if isinstance(batch, dict)
@@ -303,7 +249,8 @@ def load_checkpoint_report(path: Union[str, Path]) -> CheckpointLoad:
             if key not in seen:
                 seen.add(key)
                 keys.append(key)
-    return CheckpointLoad(keys=keys, torn_line=torn)
+    # A torn final line (crash mid-append) is skipped and reported.
+    return CheckpointLoad(keys=keys, torn_line=replayed.torn)
 
 
 def load_checkpoint(path: Union[str, Path]) -> Optional[List[str]]:
@@ -327,7 +274,6 @@ __all__ = [
     "CheckpointLoad",
     "ResumeReport",
     "default_checkpoint_path",
-    "fsync_directory",
     "load_checkpoint",
     "load_checkpoint_report",
 ]

@@ -54,10 +54,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="seconds of heartbeat silence before a shard is respawned",
     )
     parser.add_argument(
-        "--no-fsync", action="store_true",
-        help="skip fsyncs (tests only; forfeits crash safety)",
-    )
-    parser.add_argument(
         "--kill-shard", action="append", default=[], metavar="SHARD:AFTER",
         help="fault hook: crash shard SHARD after AFTER tasks (repeatable)",
     )
@@ -74,7 +70,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         heartbeat_timeout=args.heartbeat_timeout,
         kill_after_tasks=parse_kill_shard(args.kill_shard),
         fault_kill_after_results=args.fault_kill_after,
-        fsync=not args.no_fsync,
     )
     socket_path = args.socket or str(daemon.spool / "daemon.sock")
     print(f"repro.service: serving on {socket_path} (spool {daemon.spool})")

@@ -65,7 +65,8 @@ from ..design.compile import compile_design
 from ..design.io import design_from_dict
 from ..design.model import DesignError
 from ..obs.manifest import append_manifest, build_manifest
-from ..resilience.checkpoint import CampaignCheckpoint, fsync_directory
+from ..resilience.checkpoint import CampaignCheckpoint
+from ..resilience.log import sync
 from .journal import PersistentQueue, QueuedCampaign
 from .protocol import (
     PROTOCOL_VERSION,
@@ -126,12 +127,11 @@ class CampaignDaemon:
         heartbeat_timeout: float = 30.0,
         kill_after_tasks: Optional[Dict[int, int]] = None,
         fault_kill_after_results: Optional[int] = None,
-        fsync: bool = True,
     ) -> None:
         self.spool = Path(spool)
         for sub in ("journal", "cache", "checkpoints", "results"):
             (self.spool / sub).mkdir(parents=True, exist_ok=True)
-        self.queue = PersistentQueue(self.spool / "journal", fsync=fsync)
+        self.queue = PersistentQueue(self.spool / "journal")
         self.cache = ResultCache(self.spool / "cache")
         self.max_queue_depth = max_queue_depth
         self.job_seconds = JobSecondsEstimator()
@@ -143,7 +143,6 @@ class CampaignDaemon:
         )
         self.fault_kill_after_results = fault_kill_after_results
         self._results_recorded = 0
-        self._fsync = fsync
         self._cond = threading.Condition()
         self._campaigns: Dict[str, CampaignState] = {}
         self._active: Optional[str] = None
@@ -447,12 +446,9 @@ class CampaignDaemon:
                 workers=max(1, self.manager.healthy_shards()),
                 wall=time.perf_counter() - dispatch_start,
             )
-            results_file.flush()
-            if self._fsync:
-                os.fsync(results_file.fileno())
+            sync(results_file, self.spool / "results")
         finally:
             results_file.close()
-        fsync_directory(self.spool / "results")
         checkpoint.flush()
 
         with self._cond:

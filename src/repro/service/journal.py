@@ -23,28 +23,36 @@ Dead records (acked/cancelled) accumulate; once they outnumber
 ``rotate_dead_records`` the journal *rotates*: live records are compacted
 into a new segment file (``journal-<seq+1>.jsonl``) written atomically
 (tmp + fsync + rename + directory fsync) before the old segment is
-unlinked.  A crash at any point leaves either the old segment, both
-segments, or the new segment — :meth:`PersistentQueue.open` keeps the
+unlinked.  All file I/O goes through :mod:`repro.resilience.log`.  A
+crash at any point leaves either the old segment, both segments, or the
+new segment — :meth:`PersistentQueue.open` keeps the
 highest-sequence complete segment and sweeps the rest, so recovery is
 unambiguous.
 
 Replay tolerates exactly the damage a crash can cause: a torn trailing
-line (the write that was in flight) is skipped and counted.  Torn or
-malformed lines *before* the tail are counted as ``bad_lines`` and
-skipped too — losing an ``ack`` only means one campaign re-runs against
-a warm cache, never wrong results.
+line (the write that was in flight) is skipped and counted, and cut
+away before the next append so a new record is never glued onto it.
+Torn or malformed lines *before* the tail are counted as ``bad_lines``
+and skipped too — losing an ``ack`` only means one campaign re-runs
+against a warm cache, never wrong results.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..resilience.checkpoint import fsync_directory
+from ..resilience.log import (
+    Replay,
+    append_line,
+    fsync_directory,
+    open_append,
+    replay,
+    write_atomic,
+)
 
 #: Journal format version, embedded in every record.
 JOURNAL_SCHEMA_VERSION = 1
@@ -91,22 +99,7 @@ class RecoveryReport:
     replayed_records: int = 0
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "pending": self.pending,
-            "in_flight": self.in_flight,
-            "torn_lines": self.torn_lines,
-            "bad_lines": self.bad_lines,
-            "segments_swept": self.segments_swept,
-            "replayed_records": self.replayed_records,
-        }
-
-
-@dataclass
-class _QueueState:
-    """In-memory view rebuilt from replay."""
-
-    campaigns: Dict[str, QueuedCampaign] = field(default_factory=dict)
-    next_seq: int = 0
+        return asdict(self)
 
 
 def _segment_path(root: Path, seq: int) -> Path:
@@ -121,6 +114,27 @@ def _segment_seq(path: Path) -> Optional[int]:
     return int(digits) if digits.isdigit() else None
 
 
+def _line(kind: str, campaign_id: str, **fields: Any) -> str:
+    """One journal record, serialized as its JSONL line."""
+    record = {
+        "journal_schema": JOURNAL_SCHEMA_VERSION,
+        "record": kind,
+        "id": campaign_id,
+        **fields,
+    }
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _submit_line(campaign: QueuedCampaign) -> str:
+    return _line(
+        "submit",
+        campaign.campaign_id,
+        seq=campaign.seq,
+        priority=campaign.priority,
+        payload=campaign.payload,
+    )
+
+
 class PersistentQueue:
     """Crash-safe priority queue of campaign submissions (see module doc).
 
@@ -133,7 +147,6 @@ class PersistentQueue:
         self,
         root: Union[str, Path],
         rotate_dead_records: int = 128,
-        fsync: bool = True,
     ) -> None:
         if rotate_dead_records < 1:
             raise ValueError(
@@ -141,10 +154,10 @@ class PersistentQueue:
             )
         self.root = Path(root)
         self.rotate_dead_records = rotate_dead_records
-        #: fsync submit/claim/ack records (tests may disable for speed).
-        self.fsync = fsync
         self.recovery = RecoveryReport()
-        self._state = _QueueState()
+        #: In-memory view rebuilt from replay.
+        self._campaigns: Dict[str, QueuedCampaign] = {}
+        self._next_seq = 0
         self._dead_records = 0
         self._segment = 0
         self._handle = None
@@ -166,24 +179,19 @@ class PersistentQueue:
             if seq is not None:
                 segments.append((seq, path))
         segments.sort()
-        if segments:
-            # Keep the newest complete segment; older ones are leftovers
-            # of a rotation that crashed between rename and unlink.
-            self._segment, active = segments[-1]
-            for _, stale in segments[:-1]:
-                stale.unlink(missing_ok=True)
-                self.recovery.segments_swept += 1
-            if self.recovery.segments_swept:
-                fsync_directory(self.root)
-            self._replay(active)
-        else:
-            self._segment = 0
-            _segment_path(self.root, 0).touch()
-            fsync_directory(self.root)
-        self._handle = _segment_path(self.root, self._segment).open(
-            "a", encoding="utf-8"
-        )
-        for campaign in self._state.campaigns.values():
+        if not segments:
+            segments.append((0, _segment_path(self.root, 0)))
+            segments[0][1].touch()
+        # Keep the newest complete segment; older ones are leftovers
+        # of a rotation that crashed between rename and unlink.
+        self._segment, active = segments[-1]
+        for _, stale in segments[:-1]:
+            stale.unlink(missing_ok=True)
+            self.recovery.segments_swept += 1
+        # Makes the sweep, or a first segment's name, durable.
+        fsync_directory(self.root)
+        self._handle = open_append(active, self._replay(active))
+        for campaign in self._campaigns.values():
             if campaign.claimed:
                 campaign.recovered = True
                 self.recovery.in_flight += 1
@@ -191,34 +199,24 @@ class PersistentQueue:
         # Recovered in-flight campaigns re-enter the ready heap FIRST
         # (they were already started once) by keeping their original
         # priority/seq; claimed state is cleared so claim() re-issues.
-        for campaign in self._state.campaigns.values():
+        for campaign in self._campaigns.values():
             campaign.claimed = False
             heapq.heappush(
                 self._ready,
                 (campaign.priority, campaign.seq, campaign.campaign_id),
             )
 
-    def _replay(self, path: Path) -> None:
-        lines = path.read_text(encoding="utf-8").split("\n")
-        # A well-formed journal ends with a newline → last split item is
-        # empty; anything else in the final slot is a torn write.
-        tail = lines[-1]
-        body = lines[:-1]
-        if tail.strip():
-            self.recovery.torn_lines += 1
-        for line in body:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                self.recovery.bad_lines += 1
-                continue
+    def _replay(self, path: Path) -> Replay:
+        replayed = replay(path)
+        self.recovery.torn_lines += int(replayed.torn)
+        self.recovery.bad_lines += len(replayed.bad_lines)
+        for record in replayed.records:
             if not isinstance(record, dict):
                 self.recovery.bad_lines += 1
                 continue
             self._apply(record)
             self.recovery.replayed_records += 1
+        return replayed
 
     def _apply(self, record: Dict[str, Any]) -> None:
         kind = record.get("record")
@@ -226,7 +224,7 @@ class PersistentQueue:
         if kind not in RECORD_KINDS or not isinstance(campaign_id, str):
             self.recovery.bad_lines += 1
             return
-        campaigns = self._state.campaigns
+        campaigns = self._campaigns
         if kind == "submit":
             payload = record.get("payload")
             priority = record.get("priority", 0)
@@ -240,7 +238,7 @@ class PersistentQueue:
                 payload=payload,
                 seq=seq,
             )
-            self._state.next_seq = max(self._state.next_seq, seq + 1)
+            self._next_seq = max(self._next_seq, seq + 1)
         elif kind == "claim":
             if campaign_id in campaigns:
                 campaigns[campaign_id].claimed = True
@@ -248,38 +246,27 @@ class PersistentQueue:
             campaigns.pop(campaign_id, None)
             self._dead_records += 1
 
-    # -- append path ---------------------------------------------------------
-
-    def _append(self, record: Dict[str, Any], durable: bool) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        if durable and self.fsync:
-            os.fsync(self._handle.fileno())
-
     # -- queue API -----------------------------------------------------------
 
     @property
     def depth(self) -> int:
         """Campaigns waiting or running (submitted, not yet acked)."""
-        return len(self._state.campaigns)
+        return len(self._campaigns)
 
     @property
     def pending(self) -> int:
         """Campaigns waiting to be claimed."""
-        return sum(
-            1 for c in self._state.campaigns.values() if not c.claimed
-        )
+        return len(self.pending_campaigns())
 
     def pending_campaigns(self) -> List[QueuedCampaign]:
         """Unclaimed campaigns in claim order."""
         return sorted(
-            (c for c in self._state.campaigns.values() if not c.claimed),
+            (c for c in self._campaigns.values() if not c.claimed),
             key=QueuedCampaign.sort_key,
         )
 
     def get(self, campaign_id: str) -> Optional[QueuedCampaign]:
-        return self._state.campaigns.get(campaign_id)
+        return self._campaigns.get(campaign_id)
 
     def submit(
         self,
@@ -288,11 +275,11 @@ class PersistentQueue:
         campaign_id: Optional[str] = None,
     ) -> QueuedCampaign:
         """Durably enqueue one campaign; returns its queue record."""
-        seq = self._state.next_seq
-        self._state.next_seq += 1
+        seq = self._next_seq
+        self._next_seq += 1
         if campaign_id is None:
             campaign_id = f"c{seq:06d}"
-        if campaign_id in self._state.campaigns:
+        if campaign_id in self._campaigns:
             raise JournalError(f"campaign id {campaign_id!r} already queued")
         campaign = QueuedCampaign(
             campaign_id=campaign_id,
@@ -300,18 +287,8 @@ class PersistentQueue:
             payload=payload,
             seq=seq,
         )
-        self._append(
-            {
-                "journal_schema": JOURNAL_SCHEMA_VERSION,
-                "record": "submit",
-                "id": campaign_id,
-                "seq": seq,
-                "priority": priority,
-                "payload": payload,
-            },
-            durable=True,
-        )
-        self._state.campaigns[campaign_id] = campaign
+        append_line(self._handle, _submit_line(campaign))
+        self._campaigns[campaign_id] = campaign
         heapq.heappush(self._ready, (priority, seq, campaign_id))
         return campaign
 
@@ -319,58 +296,35 @@ class PersistentQueue:
         """Highest-priority unclaimed campaign (marks it in-flight)."""
         while self._ready:
             _, _, campaign_id = heapq.heappop(self._ready)
-            campaign = self._state.campaigns.get(campaign_id)
+            campaign = self._campaigns.get(campaign_id)
             if campaign is None or campaign.claimed:
                 continue  # acked/cancelled/claimed since push
-            self._append(
-                {
-                    "journal_schema": JOURNAL_SCHEMA_VERSION,
-                    "record": "claim",
-                    "id": campaign_id,
-                },
-                durable=True,
-            )
+            append_line(self._handle, _line("claim", campaign_id))
             campaign.claimed = True
             return campaign
         return None
 
     def ack(self, campaign_id: str) -> None:
         """Durably mark one campaign complete; it will never replay."""
-        if campaign_id not in self._state.campaigns:
+        if campaign_id not in self._campaigns:
             raise JournalError(f"unknown campaign {campaign_id!r}")
-        self._append(
-            {
-                "journal_schema": JOURNAL_SCHEMA_VERSION,
-                "record": "ack",
-                "id": campaign_id,
-            },
-            durable=True,
-        )
-        self._state.campaigns.pop(campaign_id, None)
-        self._dead_records += 1
-        self._maybe_rotate()
+        self._retire("ack", campaign_id)
 
     def cancel(self, campaign_id: str) -> bool:
         """Withdraw a queued campaign; ``False`` when running/unknown."""
-        campaign = self._state.campaigns.get(campaign_id)
+        campaign = self._campaigns.get(campaign_id)
         if campaign is None or campaign.claimed:
             return False
-        self._append(
-            {
-                "journal_schema": JOURNAL_SCHEMA_VERSION,
-                "record": "cancel",
-                "id": campaign_id,
-            },
-            durable=True,
-        )
-        self._state.campaigns.pop(campaign_id, None)
-        self._dead_records += 1
-        self._maybe_rotate()
+        self._retire("cancel", campaign_id)
         return True
 
     # -- rotation ------------------------------------------------------------
 
-    def _maybe_rotate(self) -> None:
+    def _retire(self, kind: str, campaign_id: str) -> None:
+        """Durably drop one campaign (ack/cancel); rotate past the bar."""
+        append_line(self._handle, _line(kind, campaign_id))
+        self._campaigns.pop(campaign_id, None)
+        self._dead_records += 1
         if self._dead_records >= self.rotate_dead_records:
             self.rotate()
 
@@ -383,49 +337,15 @@ class PersistentQueue:
         prefers the highest-sequence segment.
         """
         new_seq = self._segment + 1
-        tmp = self.root / f"{_TMP_PREFIX}{_SEGMENT_PREFIX}{new_seq:08d}"
-        live = sorted(self._state.campaigns.values(), key=lambda c: c.seq)
-        with tmp.open("w", encoding="utf-8") as handle:
-            for campaign in live:
-                handle.write(
-                    json.dumps(
-                        {
-                            "journal_schema": JOURNAL_SCHEMA_VERSION,
-                            "record": "submit",
-                            "id": campaign.campaign_id,
-                            "seq": campaign.seq,
-                            "priority": campaign.priority,
-                            "payload": campaign.payload,
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-            for campaign in live:
-                if campaign.claimed:
-                    handle.write(
-                        json.dumps(
-                            {
-                                "journal_schema": JOURNAL_SCHEMA_VERSION,
-                                "record": "claim",
-                                "id": campaign.campaign_id,
-                            },
-                            sort_keys=True,
-                            separators=(",", ":"),
-                        )
-                        + "\n"
-                    )
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+        live = sorted(self._campaigns.values(), key=lambda c: c.seq)
         target = _segment_path(self.root, new_seq)
-        os.replace(tmp, target)
-        fsync_directory(self.root)
-        old_handle, self._handle = self._handle, target.open(
-            "a", encoding="utf-8"
+        write_atomic(
+            target,
+            [_submit_line(campaign) for campaign in live]
+            + [_line("claim", c.campaign_id) for c in live if c.claimed],
         )
-        old_handle.close()
+        self._handle.close()
+        self._handle = open_append(target)
         _segment_path(self.root, self._segment).unlink(missing_ok=True)
         fsync_directory(self.root)
         self._segment = new_seq

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -364,89 +364,69 @@ class XLEngine:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> float:
-        """Advance batched rounds to the scenario horizon."""
+        """Advance batched rounds to the scenario horizon.
+
+        Each round runs the phases of :meth:`_round_phases` in order, then
+        schedules the next round.  Under ``profile_phases`` every phase
+        (and the scheduling step, as ``round_scheduling``) is bracketed
+        with ``perf_counter`` and folded into :attr:`phase_seconds`; the
+        plain loop never touches the clock.
+        """
         if self.patient_zero is None:
             raise RuntimeError("seed_infection must run before run()")
-        if self._profile_phases:
-            return self._run_profiled()
+        phases = self._round_phases()
+        timed = self.phase_seconds if self._profile_phases else None
+        if timed is not None:
+            for name, _ in phases:
+                timed.setdefault(name, 0.0)
+            timed.setdefault("round_scheduling", 0.0)
         n_rounds = max(1, int(math.ceil(self.duration / self.dt)))
         k = 0
         while k < n_rounds:
             t_end = min((k + 1) * self.dt, self.duration)
             self.counters["xl_rounds"] += 1
-            self._process_boundaries(t_end)
-            self._process_reboots(t_end)
-            self._trigger_patch_wave(t_end)
-            self._drain_patches(k)
-            while self._process_sends(t_end):
-                pass
-            self._process_bt_encounters(t_end)
-            self._drain_deliveries(k)
-            self._drain_installs(k)
-            k = self._next_round(k, n_rounds)
+            for name, phase in phases:
+                if timed is None:
+                    phase(t_end, k)
+                else:
+                    mark = perf_counter()
+                    phase(t_end, k)
+                    timed[name] += perf_counter() - mark
+            if timed is None:
+                k = self._next_round(k, n_rounds)
+            else:
+                mark = perf_counter()
+                k = self._next_round(k, n_rounds)
+                timed["round_scheduling"] += perf_counter() - mark
         return self.duration
 
-    def _run_profiled(self) -> float:
-        """The round loop with per-phase wall-time accumulation.
+    def _round_phases(self) -> List[Tuple[str, Callable[[float, int], None]]]:
+        """The per-round phase table, in execution order.
 
-        Identical phase order and semantics to :meth:`run`; every phase of
-        every round is bracketed with ``perf_counter`` and folded into
-        :attr:`phase_seconds`.  Kept as a separate loop so the unprofiled
-        path pays nothing.
+        Bluetooth encounters are a phase only when ``bt_rate > 0``.
         """
-        phases = self.phase_seconds
-        bt_active = self.bt_rate > 0
-        for name in (
-            "budget_boundaries",
-            "reboots",
-            "patches",
-            "sends",
-            *(("bt_encounters",) if bt_active else ()),
-            "deliveries",
-            "installs",
-            "round_scheduling",
-        ):
-            phases.setdefault(name, 0.0)
-        n_rounds = max(1, int(math.ceil(self.duration / self.dt)))
-        k = 0
-        while k < n_rounds:
-            t_end = min((k + 1) * self.dt, self.duration)
-            self.counters["xl_rounds"] += 1
-            mark = perf_counter()
-            self._process_boundaries(t_end)
-            now = perf_counter()
-            phases["budget_boundaries"] += now - mark
-            mark = now
-            self._process_reboots(t_end)
-            now = perf_counter()
-            phases["reboots"] += now - mark
-            mark = now
+
+        def patches(t_end: float, k: int) -> None:
             self._trigger_patch_wave(t_end)
             self._drain_patches(k)
-            now = perf_counter()
-            phases["patches"] += now - mark
-            mark = now
+
+        def sends(t_end: float, k: int) -> None:
             while self._process_sends(t_end):
                 pass
-            now = perf_counter()
-            phases["sends"] += now - mark
-            mark = now
-            if bt_active:
-                self._process_bt_encounters(t_end)
-                now = perf_counter()
-                phases["bt_encounters"] += now - mark
-                mark = now
-            self._drain_deliveries(k)
-            now = perf_counter()
-            phases["deliveries"] += now - mark
-            mark = now
-            self._drain_installs(k)
-            now = perf_counter()
-            phases["installs"] += now - mark
-            mark = now
-            k = self._next_round(k, n_rounds)
-            phases["round_scheduling"] += perf_counter() - mark
-        return self.duration
+
+        phases = [
+            ("budget_boundaries", lambda t_end, k: self._process_boundaries(t_end)),
+            ("reboots", lambda t_end, k: self._process_reboots(t_end)),
+            ("patches", patches),
+            ("sends", sends),
+        ]
+        if self.bt_rate > 0:
+            phases.append(
+                ("bt_encounters", lambda t_end, k: self._process_bt_encounters(t_end))
+            )
+        phases.append(("deliveries", lambda t_end, k: self._drain_deliveries(k)))
+        phases.append(("installs", lambda t_end, k: self._drain_installs(k)))
+        return phases
 
     def _next_round(self, k: int, n_rounds: int) -> int:
         """Round index of the next scheduled activity (skips dead time)."""

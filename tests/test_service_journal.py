@@ -156,6 +156,28 @@ class TestRecovery:
         assert reopened.depth == 1
         reopened.close()
 
+    def test_submit_after_torn_tail_survives_next_restart(self, tmp_path):
+        # Regression: a record appended after a torn tail must not be
+        # glued onto the fragment and lost at the following restart.
+        with PersistentQueue(tmp_path) as queue:
+            queue.submit(payload("a"))
+        segment = tmp_path / "journal-00000000.jsonl"
+        with segment.open("a", encoding="utf-8") as handle:
+            handle.write('{"record":"sub')  # crash mid-append
+
+        with PersistentQueue(tmp_path) as recovered:
+            assert recovered.recovery.torn_lines == 1
+            recovered.submit(payload("b"))
+
+        reopened = PersistentQueue(tmp_path)
+        assert reopened.recovery.bad_lines == 0
+        assert reopened.recovery.torn_lines == 0
+        assert [c.campaign_id for c in reopened.pending_campaigns()] == [
+            "c000000",
+            "c000001",
+        ]
+        reopened.close()
+
     def test_bad_mid_file_lines_skipped_and_counted(self, tmp_path):
         with PersistentQueue(tmp_path) as queue:
             queue.submit(payload("a"))
