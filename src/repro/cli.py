@@ -119,10 +119,28 @@ def _mobility_from_args(args: argparse.Namespace) -> Optional[MobilityParameters
     )
 
 
+def _at_least(kind, minimum, strict=False):
+    """argparse ``type``: ``kind`` values >= ``minimum`` (> if ``strict``),
+    so a bad count exits 2 with usage instead of a deep traceback."""
+    def parse(text: str):
+        value = kind(text)
+        if value < minimum or (strict and value == minimum):
+            sign = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be {sign} {minimum}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+positive_int = _at_least(int, 1)
+non_negative_int = _at_least(int, 0)
+positive_float = _at_least(float, 0.0, strict=True)
+
+
 def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
     """Shared replication-scheduler flags (run/figure/sweep)."""
     parser.add_argument(
-        "--processes", type=int, default=1,
+        "--processes", type=positive_int, default=1,
         help="worker processes for replications (1 = serial; results are "
         "bit-identical either way)",
     )
@@ -148,13 +166,14 @@ def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
         "record (ev/s, cache hit ratio, per-worker rates) to PATH",
     )
     parser.add_argument(
-        "--retries", type=int, default=0, metavar="N",
+        "--retries", type=non_negative_int, default=0, metavar="N",
         help="retry each failed/crashed/timed-out replication up to N "
         "times under the supervised pool before quarantining it "
         "(0 = fail fast, the historical behaviour)",
     )
     parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        "--task-timeout", type=positive_float, default=None,
+        metavar="SECONDS",
         help="kill and retry any single replication running longer than "
         "this (implies the supervised pool)",
     )
@@ -285,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--preset", choices=sorted(XL_PRESETS), default=None,
                             help="population preset (paper/xl-10k/xl-100k/xl-1m); "
                                  "overrides --population")
-    run_parser.add_argument("--replications", type=int, default=3)
+    run_parser.add_argument("--replications", type=positive_int, default=3)
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument("--no-chart", action="store_true")
     _add_bluetooth_args(run_parser)
@@ -300,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure_parser.add_argument("--engine", choices=("core", "xl"), default="core",
                                help="simulation engine for every series")
-    figure_parser.add_argument("--replications", type=int, default=None)
+    figure_parser.add_argument("--replications", type=positive_int, default=None)
     figure_parser.add_argument("--seed", type=int, default=0)
     figure_parser.add_argument("--csv", default=None, help="export mean curves to CSV")
     figure_parser.add_argument("--svg", default=None, help="export the chart as SVG")
@@ -315,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one of: scan_delay, detection_accuracy, education_scale, "
         "patch_deployment, monitoring_wait, blacklist_threshold",
     )
-    sweep_parser.add_argument("--replications", type=int, default=2)
+    sweep_parser.add_argument("--replications", type=positive_int, default=2)
     sweep_parser.add_argument("--seed", type=int, default=0)
     _add_scheduler_args(sweep_parser)
 
@@ -323,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario", help="simulate a scenario loaded from a JSON file"
     )
     scenario_parser.add_argument("path", help="scenario JSON file")
-    scenario_parser.add_argument("--replications", type=int, default=3)
+    scenario_parser.add_argument("--replications", type=positive_int, default=3)
     scenario_parser.add_argument("--seed", type=int, default=0)
     scenario_parser.add_argument("--no-chart", action="store_true")
 
@@ -389,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="override horizon, hours")
     frontier_parser.add_argument("--engine", choices=("core", "xl"),
                                  default="core")
-    frontier_parser.add_argument("--replications", type=int, default=3)
+    frontier_parser.add_argument("--replications", type=positive_int, default=3)
     frontier_parser.add_argument("--seed", type=int, default=0)
     _add_scheduler_args(frontier_parser)
 
@@ -469,13 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile a design to its deduplicated scheduler job list",
     )
     design_compile.add_argument("spec", help=spec_help)
-    design_compile.add_argument("--replications", type=int, default=None)
+    design_compile.add_argument("--replications", type=positive_int, default=None)
     design_compile.add_argument("--seed", type=int, default=0)
     design_run = design_sub.add_parser(
         "run", help="run a design through the cache-deduplicated compiled path"
     )
     design_run.add_argument("spec", help=spec_help)
-    design_run.add_argument("--replications", type=int, default=None)
+    design_run.add_argument("--replications", type=positive_int, default=None)
     design_run.add_argument("--seed", type=int, default=0)
     design_run.add_argument("--csv", default=None, help="export mean curves to CSV")
     design_run.add_argument("--no-chart", action="store_true")
@@ -494,14 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--socket", default=None,
         help="Unix socket path (default: <spool>/daemon.sock)",
     )
-    serve_parser.add_argument("--shards", type=int, default=2,
+    serve_parser.add_argument("--shards", type=positive_int, default=2,
                               help="shard worker processes")
     serve_parser.add_argument(
         "--max-queue-depth", type=int, default=8,
         help="queued campaigns before submissions are shed with retry_after",
     )
     serve_parser.add_argument(
-        "--heartbeat-timeout", type=float, default=30.0,
+        "--heartbeat-timeout", type=positive_float, default=30.0,
         help="seconds of shard heartbeat silence before a respawn",
     )
 
@@ -514,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument(
         "--socket", required=True, help="the daemon's Unix socket path"
     )
-    submit_parser.add_argument("--replications", type=int, default=None)
+    submit_parser.add_argument("--replications", type=positive_int, default=None)
     submit_parser.add_argument("--seed", type=int, default=0)
     submit_parser.add_argument("--priority", type=int, default=0,
                                help="lower runs first (default 0)")

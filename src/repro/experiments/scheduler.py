@@ -18,11 +18,12 @@ Typical use::
         print(sched.stats)
 
 Fault tolerance: pass a :class:`~repro.resilience.RetryPolicy` as
-``resilience`` and pending jobs run under a
-:class:`~repro.resilience.SupervisedWorkerPool` — per-task timeouts,
-bounded retries with deterministic backoff, crashed-worker respawn, and
-task quarantine (the campaign continues; quarantined slots surface as
-``None`` results and in :meth:`failure_summary`).  Pass a
+``resilience`` and the same pool supervises pending jobs under it —
+per-task timeouts, bounded retries with deterministic backoff,
+crashed-worker respawn, and task quarantine (the campaign continues;
+quarantined slots surface as ``None`` results and in
+:meth:`failure_summary`).  Without a policy the pool fails fast: a dead
+worker raises instead of hanging the campaign.  Pass a
 :class:`~repro.resilience.CampaignCheckpoint` and every completed
 replication key is periodically checkpointed; on resume the checkpoint
 reconciles against the cache so only missing work re-executes.  Cache
@@ -64,8 +65,7 @@ from ..core.parameters import ScenarioConfig
 from ..core.simulation import ReplicationSet, ScenarioResult
 from ..obs.metrics import NULL_METRICS, Metrics
 from ..resilience.checkpoint import CampaignCheckpoint
-from ..resilience.policy import RetryPolicy
-from ..resilience.supervisor import FailureEvent, SupervisedWorkerPool
+from ..resilience.policy import FailureEvent, RetryPolicy, SupervisionReport
 from .spec import ExperimentResult, ExperimentSpec
 
 
@@ -223,12 +223,11 @@ class ReplicationScheduler:
         self.job_seconds = JobSecondsEstimator()
         self._inline_pool: Optional[WorkerPool] = None
         self.stats = SchedulerStats()
-        #: Retry/timeout/quarantine policy; ``None`` = plain unsupervised
-        #: dispatch (the original fail-fast path).
+        #: Retry/timeout/quarantine policy; ``None`` = fail-fast dispatch.
         self.resilience = resilience
         #: Periodic progress checkpoint (see repro.resilience.checkpoint).
         self.checkpoint = checkpoint
-        #: Fault plan for the supervised pool (fault-injection harness);
+        #: Fault plan for supervised dispatch (fault-injection harness);
         #: task ids index into each batch's *pending* (non-cached) jobs.
         self.fault_plan = fault_plan
         #: Every failure/retry/quarantine event across all batches.
@@ -338,40 +337,16 @@ class ReplicationScheduler:
         for field_name, value in report.to_dict().items():
             totals[field_name] += value
 
-    def _run_supervised(
+    def _absorb_report(
         self,
+        report: SupervisionReport,
         pending: List[Tuple[int, ReplicationJob]],
-        results: List[Optional[ScenarioResult]],
     ) -> None:
-        """Dispatch pending jobs through the supervised pool.
+        """Fold one supervised batch's failures into the run's accounting.
 
-        Completed tasks land in ``results`` exactly as on the plain
-        path; quarantined tasks leave their slot ``None`` and are
+        Quarantined tasks leave their result slot ``None`` and are
         recorded in :attr:`quarantined` (the campaign continues).
         """
-        indexed: List[IndexedJob] = [
-            (index, job.config, job.seed, job.replication)
-            for index, job in pending
-        ]
-        faults = {}
-        if self.fault_plan is not None:
-            faults = {
-                task_id: spec
-                for task_id in range(len(pending))
-                for spec in [self.fault_plan.spec_for(task_id)]
-                if spec is not None
-            }
-        pool = SupervisedWorkerPool(
-            min(self.processes, max(1, len(pending))),
-            policy=self.resilience,
-            metrics=self.metrics,
-            faults=faults,
-        )
-        report = pool.run(indexed)
-        for task_id, (index, result) in report.results.items():
-            results[index] = result
-            self._cache_put(result)
-            self._record_completion(pending[task_id][1])
         for task_id in report.quarantined:
             _, job = pending[task_id]
             self.quarantined.append(
@@ -382,9 +357,18 @@ class ReplicationScheduler:
                     "failures": self.resilience.max_attempts,
                 }
             )
+        for event in report.events:
+            kind = {"crash": "crashes", "timeout": "timeouts"}.get(event.kind)
+            action = "retries" if event.action == "retry" else "quarantined"
+            for name in ("failures", kind or "task_errors", action):
+                self.metrics.inc(f"resilience.{name}")
         self.failures.extend(report.events)
         self.pool_respawns += report.respawns
-        self.degraded_to_serial = self.degraded_to_serial or report.degraded_to_serial
+        if report.respawns:
+            self.metrics.inc("resilience.pool_respawns", report.respawns)
+        if report.inline:
+            self.degraded_to_serial = True
+            self.metrics.inc("resilience.degraded_to_serial")
 
     # -- dispatch planning ---------------------------------------------------
 
@@ -397,8 +381,10 @@ class ReplicationScheduler:
         When ``auto_degrade`` is on and the projection says the pool loses
         to serial, the batch runs inline through a one-process pool — the
         same jobs under the same indexes, so results stay bit-identical —
-        and the parallel pool is never even started.  Every planned batch
-        appends a decision record for the run manifest.
+        and the parallel pool is never even started.  A policy with a
+        ``task_timeout`` never degrades: inline execution cannot enforce
+        a timeout.  Every planned batch appends a decision record for
+        the run manifest.
         """
         if self.processes == 1 or not self._owns_pool:
             return self._pool
@@ -408,36 +394,23 @@ class ReplicationScheduler:
             # so the manifest shows why no workers ran.
             self._note_cached_batch()
             return self._pool
-        estimate = self.job_seconds.estimate
-        source = "calibrated" if self.job_seconds.calibrated else "default"
         speedup = projected_speedup(
             pending_count,
             self.processes,
-            estimate,
+            self.job_seconds.estimate,
             pool_started=self._pool.started,
         )
-        degrade = self.auto_degrade and speedup < 1.0
-        self.dispatch_decisions.append(
-            {
-                "pending": pending_count,
-                "requested_processes": self.processes,
-                "cpu_count": os.cpu_count() or 1,
-                "effective_workers": effective_parallelism(
-                    self.processes, pending_count
-                ),
-                "estimated_job_seconds": round(estimate, 6),
-                "estimate_source": source,
-                "projected_speedup": round(speedup, 3),
-                "auto_degrade": self.auto_degrade,
-                "mode": "serial" if degrade else "parallel",
-            }
+        degrade = (
+            self.auto_degrade
+            and speedup < 1.0
+            and (self.resilience is None or self.resilience.task_timeout is None)
         )
-        if self.metrics.enabled:
-            self.metrics.inc(
-                "scheduler.dispatch.serial"
-                if degrade
-                else "scheduler.dispatch.parallel"
-            )
+        self._log_decision(
+            pending_count,
+            effective_parallelism(self.processes, pending_count),
+            round(speedup, 3),
+            "serial" if degrade else "parallel",
+        )
         if not degrade:
             return self._pool
         if self._inline_pool is None:
@@ -455,23 +428,28 @@ class ReplicationScheduler:
         """
         if self.processes == 1 or not self._owns_pool:
             return
+        self._log_decision(0, 0, None, "cached")
+
+    def _log_decision(
+        self, pending: int, workers: int, speedup: Optional[float], mode: str
+    ) -> None:
+        """Append one dispatch decision record and count its mode."""
         self.dispatch_decisions.append(
             {
-                "pending": 0,
+                "pending": pending,
                 "requested_processes": self.processes,
                 "cpu_count": os.cpu_count() or 1,
-                "effective_workers": 0,
+                "effective_workers": workers,
                 "estimated_job_seconds": round(self.job_seconds.estimate, 6),
                 "estimate_source": (
                     "calibrated" if self.job_seconds.calibrated else "default"
                 ),
-                "projected_speedup": None,
+                "projected_speedup": speedup,
                 "auto_degrade": self.auto_degrade,
-                "mode": "cached",
+                "mode": mode,
             }
         )
-        if self.metrics.enabled:
-            self.metrics.inc("scheduler.dispatch.cached")
+        self.metrics.inc(f"scheduler.dispatch.{mode}")
 
     def _note_job_seconds(self, executed: int, workers: int, wall: float) -> None:
         """Fold one batch's measured wall time into the shared estimator."""
@@ -519,35 +497,39 @@ class ReplicationScheduler:
         collect = self.metrics.enabled
         batch_start = time.perf_counter() if collect else 0.0
         if pending:
-            if self.resilience is not None:
-                self._run_supervised(pending, results)
+            pool = self._plan_dispatch(len(pending))
+            if self._owns_pool:
+                pool.policy = self.resilience  # read per batch, like the plan
+            dispatch_start = time.perf_counter()
+            indexed: Iterator[IndexedJob] = (
+                (index, job.config, job.seed, job.replication)
+                for index, job in pending
+            )
+            # Only a fault plan adds the ``faults`` keyword, so injected
+            # duck-typed pools keep the plain two-argument call.
+            extra = {} if self.fault_plan is None else {"faults": self.fault_plan.specs}
+            if collect:
+                for index, result, sidecar in pool.imap_indexed_timed(
+                    indexed, job_count=len(pending), **extra
+                ):
+                    results[index] = result
+                    self._absorb_sidecar(sidecar)
+                    self._cache_put(result)
+                    self._record_completion(jobs[index])
             else:
-                pool = self._plan_dispatch(len(pending))
-                dispatch_start = time.perf_counter()
-                indexed: Iterator[IndexedJob] = (
-                    (index, job.config, job.seed, job.replication)
-                    for index, job in pending
-                )
-                if collect:
-                    for index, result, sidecar in pool.imap_indexed_timed(
-                        indexed, job_count=len(pending)
-                    ):
-                        results[index] = result
-                        self._absorb_sidecar(sidecar)
-                        self._cache_put(result)
-                        self._record_completion(jobs[index])
-                else:
-                    for index, result in pool.imap_indexed(
-                        indexed, job_count=len(pending)
-                    ):
-                        results[index] = result
-                        self._cache_put(result)
-                        self._record_completion(jobs[index])
-                self._note_job_seconds(
-                    len(pending),
-                    effective_parallelism(pool.processes, len(pending)),
-                    time.perf_counter() - dispatch_start,
-                )
+                for index, result in pool.imap_indexed(
+                    indexed, job_count=len(pending), **extra
+                ):
+                    results[index] = result
+                    self._cache_put(result)
+                    self._record_completion(jobs[index])
+            if self.resilience is not None:
+                self._absorb_report(pool.report, pending)
+            self._note_job_seconds(
+                len(pending),
+                effective_parallelism(pool.processes, len(pending)),
+                time.perf_counter() - dispatch_start,
+            )
         elif jobs:
             # Every job was a cache hit: skip dispatch planning entirely
             # (zero pool startups) but keep the decision trail complete.

@@ -8,11 +8,12 @@ supplies the three pieces the execution stack threads together:
 * :mod:`repro.resilience.policy` — :class:`RetryPolicy`: per-task
   timeouts and bounded retries with exponential backoff and
   *deterministic* jitter (reproducible schedules from a seed);
-* :mod:`repro.resilience.supervisor` — :class:`SupervisedWorkerPool`:
-  worker processes supervised by the parent, with crashed-worker
-  detection and respawn, per-task timeout enforcement, task quarantine
-  after repeated failures, and graceful degradation to serial execution
-  when the pool repeatedly dies;
+* :class:`~repro.core.parallel.WorkerPool` — the one executor — applies
+  that policy: crashed-worker detection and respawn, per-task timeout
+  enforcement, task quarantine after repeated failures, and graceful
+  degradation to inline execution once every worker has spent its
+  respawn budget, reporting every decision as a :class:`FailureEvent`
+  in a :class:`SupervisionReport` (both defined with the policy);
 * :mod:`repro.resilience.checkpoint` — :class:`CampaignCheckpoint`:
   periodic atomic snapshots of completed replication keys, reconciled
   against the result cache on ``--resume`` so an interrupted campaign
@@ -38,12 +39,7 @@ from .checkpoint import (
     load_checkpoint_report,
 )
 from .log import fsync_directory
-from .policy import RetryPolicy
-from .supervisor import (
-    FailureEvent,
-    SupervisedWorkerPool,
-    SupervisionReport,
-)
+from .policy import FailureEvent, RetryPolicy, SupervisionReport
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -52,7 +48,6 @@ __all__ = [
     "FailureEvent",
     "ResumeReport",
     "RetryPolicy",
-    "SupervisedWorkerPool",
     "SupervisionReport",
     "default_checkpoint_path",
     "fsync_directory",

@@ -5,13 +5,16 @@ schedule.  Jitter is derived by hashing ``(seed, task key, attempt)``, so
 two runs of the same campaign produce *identical* retry timing decisions
 (no wall-clock or global-RNG dependence), which is what makes the
 fault-injection suite reproducible and the property tests exact.
+:class:`SupervisionReport` applies the policy to failed attempts (retry
+after backoff, or quarantine) and keeps the :class:`FailureEvent` audit
+trail the executor (:class:`~repro.core.parallel.WorkerPool`) reports.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional
 
 
 def _unit_hash(seed: int, key: str, attempt: int) -> float:
@@ -29,8 +32,9 @@ class RetryPolicy:
     ``max_retries + 1`` failed attempts; the campaign continues without
     it and the failure is reported.  ``task_timeout`` bounds one attempt's
     wall time (``None`` = unbounded); a timed-out worker is terminated
-    and respawned.  ``max_pool_respawns`` bounds how often the supervisor
-    rebuilds dead workers before degrading to serial in-process execution.
+    and respawned.  ``max_pool_respawns`` bounds how often one worker is
+    rebuilt before it is retired; once every worker is retired the
+    remaining tasks run serially in-process.
     """
 
     max_retries: int = 2
@@ -107,4 +111,51 @@ class RetryPolicy:
         }
 
 
-__all__ = ["RetryPolicy"]
+@dataclass(frozen=True)
+class FailureEvent:
+    """One failed attempt and the supervisor's decision about it."""
+
+    task_id: int
+    key: str
+    attempt: int
+    kind: str  # "crash" | "timeout" | "error"
+    action: str  # "retry" | "quarantine"
+    detail: str
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Manifest-ready view."""
+        return asdict(self)
+
+
+@dataclass
+class SupervisionReport:
+    """What supervision did during one executor stream."""
+
+    events: List[FailureEvent] = field(default_factory=list)
+    #: Task ids (positions in the job stream) that exhausted their attempts.
+    quarantined: List[int] = field(default_factory=list)
+    respawns: int = 0
+    #: Worker slots retired after spending their respawn budget.
+    retired: List[int] = field(default_factory=list)
+    #: Attempts run inline because no worker survived.
+    inline: int = 0
+    #: Tasks re-queued because the worker holding them was lost.
+    reassigned: int = 0
+
+    def record(self, policy: RetryPolicy, task_id: int, key: str,
+               attempt: int, kind: str, detail: str) -> Optional[float]:
+        """Log failed ``attempt``; return the retry delay, or ``None``
+        once the task has exhausted its attempts and is quarantined."""
+        delay = None
+        if attempt + 1 >= policy.max_attempts:
+            self.quarantined.append(task_id)
+        else:
+            delay = policy.backoff_delay(key, attempt + 1)
+        action = "quarantine" if delay is None else "retry"
+        self.events.append(
+            FailureEvent(task_id, key, attempt, kind, action, detail)
+        )
+        return delay
+
+
+__all__ = ["FailureEvent", "RetryPolicy", "SupervisionReport"]

@@ -12,6 +12,7 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
+from ..cli import positive_float, positive_int
 from .daemon import CampaignDaemon
 
 
@@ -43,14 +44,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="Unix socket path (default: <spool>/daemon.sock)",
     )
     parser.add_argument(
-        "--shards", type=int, default=2, help="shard worker processes"
+        "--shards", type=positive_int, default=2,
+        help="shard worker processes",
     )
     parser.add_argument(
         "--max-queue-depth", type=int, default=8,
         help="queued campaigns before submissions are shed",
     )
     parser.add_argument(
-        "--heartbeat-timeout", type=float, default=30.0,
+        "--heartbeat-timeout", type=positive_float, default=30.0,
         help="seconds of heartbeat silence before a shard is respawned",
     )
     parser.add_argument(

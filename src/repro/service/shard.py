@@ -1,55 +1,35 @@
-"""Sharded execution fleet for the campaign daemon.
+"""Key routing for the campaign daemon's shard fleet.
 
-The daemon executes campaigns across ``shards`` long-lived worker
-processes.  Each shard *owns a partition of the result-cache key space*:
-a task routes to shard ``int(key[:8], 16) % shards``, so two shards
-never compute (or write) the same cache entry — cache writes stay
-race-free without locks, and a shard's warm partition survives its own
-respawns.
+The daemon runs campaigns on the ``shards`` workers of one
+:class:`~repro.core.parallel.WorkerPool`.  Each shard *owns a partition
+of the result-cache key space* (``int(key[:8], 16) % shards``), so two
+shards never compute or write the same cache entry — no locks — and a
+shard's warm partition survives its respawns.  Supervision is the
+pool's, with this fleet's values of the one deadline
+(``heartbeat_timeout``: a task running longer gets its shard killed and
+respawned) and the one respawn budget (``max_respawns``: then the shard
+is quarantined and its partition re-routed to the survivors; with none
+left, tasks run inline in the daemon — it degrades, it does not fail).
 
-Supervision lives in the parent :class:`ShardManager`:
-
-* **health probes** — every shard continuously stamps a shared heartbeat
-  (``multiprocessing.Value('d')``); :meth:`ShardManager.probe` reports
-  per-shard liveness, heartbeat age, completed-task counts, and respawn
-  counts (the daemon serves this as ``status``);
-* **heartbeat timeouts** — a shard whose heartbeat goes stale is
-  presumed wedged, killed, and respawned;
-* **automatic respawn** — a crashed shard (nonzero exit, SIGKILL, the
-  fault hook below) is respawned and its unfinished tasks re-enqueued;
-  results stay byte-identical because every task derives everything from
-  ``(config, seed, replication)``;
-* **quarantine** — a shard that dies more than ``max_respawns`` times is
-  quarantined: its key partition is re-routed to the surviving shards
-  (graceful degradation to fewer shards).  With every shard quarantined
-  the manager runs remaining tasks inline in the daemon process — the
-  service degrades, it does not fail.
-
-Fault hook: ``kill_after_tasks`` makes a designated shard call
-``os._exit`` with :data:`~repro.faults.plan.WORKER_CRASH_EXIT_CODE`
-after completing N tasks — the deterministic crash the soak harness and
-the ``service`` test tier seed their kill points with.
+Fault hook: ``kill_after_tasks`` makes a designated shard ``os._exit``
+with :data:`~repro.faults.plan.WORKER_CRASH_EXIT_CODE` right after
+computing and caching its Nth task (the reply is lost, so the retry is
+a cache hit) — the deterministic crash the soak harness and the
+``service`` test tier seed their kill points with.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_mod
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.cache import ResultCache
-from ..core.parallel import IndexedJob, mp_context, run_indexed_job
+from ..core.parallel import IndexedJob, WorkerPool, run_indexed_job
 from ..core.simulation import ScenarioResult
 from ..faults.plan import WORKER_CRASH_EXIT_CODE
-
-#: How long a shard blocks on its task queue before re-checking its
-#: parent and re-stamping the heartbeat.
-_POLL_SECONDS = 0.1
-
-#: Grace given to a terminated shard before escalating to SIGKILL.
-_SHUTDOWN_GRACE = 5.0
+from ..resilience.policy import RetryPolicy
 
 
 @dataclass
@@ -68,62 +48,36 @@ def route_key(key: str, shards: int) -> int:
     return int(key[:8], 16) % shards
 
 
-def _shard_main(
-    shard_id: int,
-    task_queue,
-    result_queue,
-    heartbeat,
-    cache_root: Optional[str],
-    parent_pid: int,
-    kill_after_tasks: Optional[int],
-) -> None:
-    """Shard process body: pull tasks, run replications, push results.
+class ShardJob:
+    """One shard incarnation's job: cache get → replicate → cache put.
 
-    Exits when it receives the ``None`` sentinel or when it finds itself
-    reparented (``os.getppid() != parent_pid``) — a SIGKILL'd daemon
-    cannot clean up its children, so the shards clean up themselves.
+    The fault hook arms only a shard's *first* incarnation (``slot`` is
+    ``None`` inline), so the respawned shard finishes the campaign.
     """
-    cache = ResultCache(cache_root) if cache_root else None
-    completed = 0
-    while True:
-        heartbeat.value = time.time()
-        if os.getppid() != parent_pid:
-            os._exit(0)  # daemon died; don't linger as an orphan
-        try:
-            task = task_queue.get(timeout=_POLL_SECONDS)
-        except queue_mod.Empty:
-            continue
-        if task is None:
-            break
-        index, config, seed, replication = task
+
+    def __init__(self, cache_root: Optional[str], kill_after_tasks: Dict[int, int],
+                 slot: Optional[int], respawns: int) -> None:
+        self.cache = ResultCache(cache_root) if cache_root else None
+        self.kill_after = kill_after_tasks.get(slot) if respawns == 0 else None
+        self.completed = 0
+
+    def __call__(self, job: IndexedJob) -> Tuple[int, ScenarioResult, bool]:
+        index, config, seed, replication = job
         result = None
-        if cache is not None:
-            result = cache.get(config, seed, replication)
+        if self.cache is not None:
+            result = self.cache.get(config, seed, replication)
         cache_hit = result is not None
         if result is None:
-            _, result = run_indexed_job(task)
-            if cache is not None:
+            _, result = run_indexed_job(job)
+            if self.cache is not None:
                 try:
-                    cache.put(result)
+                    self.cache.put(result)
                 except OSError:
                     pass  # the result still ships; daemon re-counts errors
-        result_queue.put((shard_id, index, result, cache_hit))
-        completed += 1
-        if kill_after_tasks is not None and completed >= kill_after_tasks:
+        self.completed += 1
+        if self.kill_after is not None and self.completed >= self.kill_after:
             os._exit(WORKER_CRASH_EXIT_CODE)
-
-
-@dataclass
-class _ShardSlot:
-    shard_id: int
-    process: Any
-    task_queue: Any
-    heartbeat: Any
-    #: Tasks dispatched to this shard and not yet completed, by index.
-    outstanding: Dict[int, ShardTask] = field(default_factory=dict)
-    completed: int = 0
-    respawns: int = 0
-    quarantined: bool = False
+        return index, result, cache_hit
 
 
 @dataclass
@@ -138,18 +92,11 @@ class ShardReport:
     reassigned_tasks: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "respawns": self.respawns,
-            "quarantined_shards": list(self.quarantined_shards),
-            "inline_fallback": self.inline_fallback,
-            "reassigned_tasks": self.reassigned_tasks,
-        }
+        return asdict(self)
 
 
 class ShardManager:
-    """Supervises the shard fleet (see module docstring)."""
+    """Routes campaign tasks over the shard fleet (see module docstring)."""
 
     def __init__(
         self,
@@ -159,185 +106,51 @@ class ShardManager:
         max_respawns: int = 3,
         kill_after_tasks: Optional[Dict[int, int]] = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
-        self.cache_root = cache_root
-        self.heartbeat_timeout = heartbeat_timeout
-        self.max_respawns = max_respawns
-        #: Fault hook: shard id -> crash after that many completed tasks.
-        #: Applies to the *first* incarnation of the shard only, so the
-        #: respawned shard finishes the work.
-        self.kill_after_tasks = dict(kill_after_tasks or {})
-        self._ctx = mp_context()
-        self._result_queue = self._ctx.Queue()
-        self._slots: List[_ShardSlot] = []
-        self.total_respawns = 0
-        self._started = False
+        # Every task failure is a shard death or a wedge, and the fleet
+        # dies at most shards * (max_respawns + 1) times: no task is
+        # ever quarantined for its shard's sake.
+        policy = RetryPolicy(
+            max_retries=shards * (max_respawns + 1),
+            task_timeout=heartbeat_timeout,
+            backoff_base=0.0,
+            backoff_cap=0.0,
+            max_pool_respawns=max_respawns,
+        )
+        self._keys: Dict[int, str] = {}
+        self._pool = WorkerPool(
+            shards,
+            policy=policy,
+            route=self._route,
+            runner=partial(ShardJob, cache_root, dict(kill_after_tasks or {})),
+        )
 
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def started(self) -> bool:
-        return self._started
+    def _route(self, job: IndexedJob, shards: int) -> int:
+        return route_key(self._keys[job[0]], shards)
 
     def start(self) -> None:
-        if self._started:
-            return
-        self._slots = [self._spawn(shard_id) for shard_id in range(self.shards)]
-        self._started = True
-
-    def _spawn(self, shard_id: int, respawns: int = 0) -> _ShardSlot:
-        task_queue = self._ctx.Queue()
-        heartbeat = self._ctx.Value("d", time.time())
-        # The fault hook only arms the first incarnation — a respawned
-        # shard must be able to finish the campaign.
-        kill_after = (
-            self.kill_after_tasks.get(shard_id) if respawns == 0 else None
-        )
-        process = self._ctx.Process(
-            target=_shard_main,
-            args=(
-                shard_id,
-                task_queue,
-                self._result_queue,
-                heartbeat,
-                self.cache_root,
-                os.getpid(),
-                kill_after,
-            ),
-            daemon=True,
-        )
-        process.start()
-        return _ShardSlot(
-            shard_id=shard_id,
-            process=process,
-            task_queue=task_queue,
-            heartbeat=heartbeat,
-            respawns=respawns,
-        )
-
-    def _dispose(self, slot: _ShardSlot) -> None:
-        process = slot.process
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=_SHUTDOWN_GRACE)
-        if process.is_alive():  # pragma: no cover - SIGTERM ignored
-            process.kill()
-            process.join(timeout=_SHUTDOWN_GRACE)
-        slot.task_queue.cancel_join_thread()
-        slot.task_queue.close()
-        try:
-            process.close()
-        except ValueError:  # pragma: no cover - still running after kill
-            pass
+        self._pool._ensure_pool()
 
     def close(self) -> None:
-        """Drain-free shutdown: stop every shard and release its FDs."""
-        if not self._started:
-            try:
-                self._result_queue.close()
-            except (OSError, ValueError):  # pragma: no cover
-                pass
-            return
-        for slot in self._slots:
-            if not slot.quarantined and slot.process.is_alive():
-                try:
-                    slot.task_queue.put(None)
-                except (OSError, ValueError):  # pragma: no cover - closed
-                    pass
-        deadline = time.time() + _SHUTDOWN_GRACE
-        for slot in self._slots:
-            slot.process.join(timeout=max(0.0, deadline - time.time()))
-            self._dispose(slot)
-        try:
-            self._result_queue.cancel_join_thread()
-            self._result_queue.close()
-        except (OSError, ValueError):  # pragma: no cover - already closed
-            pass
-        self._slots = []
-        self._started = False
-
-    def __enter__(self) -> "ShardManager":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- health --------------------------------------------------------------
+        """Stop every shard and release its descriptors."""
+        self._pool.close()
 
     def probe(self) -> List[Dict[str, Any]]:
         """Per-shard health snapshot (served by the daemon's ``status``)."""
-        now = time.time()
-        report = []
-        for slot in self._slots:
-            report.append(
-                {
-                    "shard": slot.shard_id,
-                    "alive": (not slot.quarantined) and slot.process.is_alive(),
-                    "quarantined": slot.quarantined,
-                    "heartbeat_age": round(max(0.0, now - slot.heartbeat.value), 3),
-                    "completed": slot.completed,
-                    "respawns": slot.respawns,
-                    "outstanding": len(slot.outstanding),
-                }
-            )
-        return report
+        return [
+            {
+                "shard": worker.slot,
+                "alive": worker.alive,
+                "quarantined": worker.retired,
+                "heartbeat_age": round(self._pool.task_age(worker), 3),
+                "completed": worker.completed,
+                "respawns": worker.respawns,
+                "outstanding": len(worker.outstanding),
+            }
+            for worker in list(self._pool.workers)
+        ]
 
     def healthy_shards(self) -> int:
-        return sum(
-            1
-            for slot in self._slots
-            if not slot.quarantined and slot.process.is_alive()
-        )
-
-    def _live_slots(self) -> List[_ShardSlot]:
-        return [s for s in self._slots if not s.quarantined]
-
-    # -- execution -----------------------------------------------------------
-
-    def _revive_or_quarantine(
-        self, slot: _ShardSlot, report: ShardReport
-    ) -> List[ShardTask]:
-        """Handle one dead/wedged shard; returns its orphaned tasks."""
-        orphans = list(slot.outstanding.values())
-        slot.outstanding.clear()
-        report.reassigned_tasks += len(orphans)
-        position = self._slots.index(slot)
-        if slot.respawns >= self.max_respawns:
-            self._dispose(slot)
-            slot.quarantined = True
-            report.quarantined_shards.append(slot.shard_id)
-            return orphans
-        slot.process.join(timeout=_SHUTDOWN_GRACE)
-        self._dispose(slot)
-        replacement = self._spawn(slot.shard_id, respawns=slot.respawns + 1)
-        replacement.completed = slot.completed
-        replacement.quarantined = False
-        self._slots[position] = replacement
-        self.total_respawns += 1
-        report.respawns += 1
-        return orphans
-
-    def _dispatch(self, task: ShardTask, report: ShardReport) -> bool:
-        """Route one task to its owning (or a surviving) shard.
-
-        Returns ``False`` when no live shard exists — the caller runs the
-        task inline.
-        """
-        live = self._live_slots()
-        if not live:
-            return False
-        owner = route_key(task.key, self.shards)
-        slot = self._slots[owner]
-        if slot.quarantined:
-            # Partition re-routing: deterministic pick among survivors so
-            # a re-submitted campaign routes identically.
-            slot = live[route_key(task.key, len(live))]
-        slot.task_queue.put(task.job)
-        slot.outstanding[task.index] = task
-        return True
+        return sum(1 for worker in self._pool.workers if worker.alive)
 
     def execute(
         self,
@@ -347,107 +160,28 @@ class ShardManager:
     ) -> ShardReport:
         """Run one campaign's tasks across the fleet.
 
-        ``on_result(index, result)`` fires as completions drain (possibly
-        out of index order — the daemon reassembles).  Dead or wedged
-        shards are respawned/quarantined mid-campaign and their orphaned
-        tasks re-dispatched; duplicate completions (a shard that died
-        *after* reporting) are dropped here, so ``on_result`` sees each
-        index exactly once.
+        ``on_result(index, result)`` fires exactly once per index, in
+        completion order (the daemon reassembles).
         """
         self.start()
         report = ShardReport()
-        pending: List[ShardTask] = []
-        done: set = set()
-        for task in tasks:
-            if not self._dispatch(task, report):
-                pending.append(task)
-        if pending:
-            # No live shards at all: inline degradation.
-            for task in pending:
-                self._run_inline(task, on_result, done, report)
-            pending = []
-        remaining = len(tasks) - len(done)
-        while remaining > 0:
-            if should_abort is not None and should_abort():
-                break
-            try:
-                shard_id, index, result, cache_hit = self._result_queue.get(
-                    timeout=_POLL_SECONDS
-                )
-            except queue_mod.Empty:
-                remaining -= self._sweep_dead(on_result, done, report)
-                continue
-            slot = self._slots[shard_id]
-            slot.outstanding.pop(index, None)
-            slot.completed += 1
-            if index in done:
-                continue  # duplicate from a shard that died post-report
-            done.add(index)
-            remaining -= 1
+        self._keys = {task.index: task.key for task in tasks}
+        jobs = [task.job for task in tasks]
+        for index, result, cache_hit in self._pool.imap_indexed(
+            jobs, job_count=len(jobs), should_abort=should_abort
+        ):
             report.executed += 0 if cache_hit else 1
             report.cache_hits += 1 if cache_hit else 0
             on_result(index, result)
+        supervision = self._pool.report
+        report.respawns = supervision.respawns
+        report.quarantined_shards = list(supervision.retired)
+        report.inline_fallback = supervision.inline
+        report.reassigned_tasks = supervision.reassigned
         return report
 
-    def _run_inline(
-        self,
-        task: ShardTask,
-        on_result: Callable[[int, ScenarioResult], None],
-        done: set,
-        report: ShardReport,
-    ) -> None:
-        """Graceful degradation: run one task in the daemon process."""
-        cache = ResultCache(self.cache_root) if self.cache_root else None
-        _, config, seed, replication = task.job
-        result = cache.get(config, seed, replication) if cache else None
-        hit = result is not None
-        if result is None:
-            _, result = run_indexed_job(task.job)
-            if cache is not None:
-                try:
-                    cache.put(result)
-                except OSError:
-                    pass
-        done.add(task.index)
-        report.inline_fallback += 1
-        report.executed += 0 if hit else 1
-        report.cache_hits += 1 if hit else 0
-        on_result(task.index, result)
-
-    def _sweep_dead(
-        self,
-        on_result: Callable[[int, ScenarioResult], None],
-        done: set,
-        report: ShardReport,
-    ) -> int:
-        """Probe for dead/wedged shards; re-dispatch their orphans.
-
-        Returns how many previously-unfinished tasks completed inline
-        (only when every shard is quarantined).
-        """
-        completed_inline = 0
-        now = time.time()
-        for slot in list(self._slots):
-            if slot.quarantined:
-                continue
-            dead = not slot.process.is_alive()
-            wedged = (
-                slot.outstanding
-                and now - slot.heartbeat.value > self.heartbeat_timeout
-            )
-            if not (dead or wedged):
-                continue
-            orphans = self._revive_or_quarantine(slot, report)
-            for task in orphans:
-                if task.index in done:
-                    continue
-                if not self._dispatch(task, report):
-                    self._run_inline(task, on_result, done, report)
-                    completed_inline += 1
-        return completed_inline
-
-
 __all__ = [
+    "ShardJob",
     "ShardManager",
     "ShardReport",
     "ShardTask",

@@ -103,6 +103,35 @@ def test_parser_rejects_bad_virus():
         parser.parse_args(["run", "--virus", "9"])
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--processes", "0"),
+        ("--replications", "0"),
+        ("--retries", "-1"),
+        ("--task-timeout", "0"),
+        ("--processes", "two"),
+    ],
+)
+def test_bad_counts_exit_2_with_usage(flag, value, capsys):
+    """Bad counts fail at the argparse boundary, not with a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--virus", "3", flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and flag in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--shards", "0"), ("--heartbeat-timeout", "0")]
+)
+def test_serve_bad_counts_exit_2_with_usage(flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--spool", str(tmp_path), flag, value])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_frontier_command_small(tmp_path, capsys):
     """A coarse frontier bisection end to end, manifest validated."""
     manifest_path = tmp_path / "frontier.jsonl"

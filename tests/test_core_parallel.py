@@ -93,7 +93,53 @@ def test_exception_exit_terminates_without_draining(small_scenario):
     with pytest.raises(RuntimeError, match="boom"):
         with WorkerPool(processes=2) as pool:
             raise RuntimeError("boom")
-    assert pool._pool is None
+    assert not pool.started
+
+
+def _exit_on_index_two(job):
+    """Substitute worker: the job at index 2 hard-crashes its process."""
+    if job[0] == 2:
+        os._exit(13)
+    return job[0], None
+
+
+def _crash_body(small_scenario, outcome):
+    """Child-process body of the fail-fast regression test."""
+    os.environ[START_METHOD_ENV] = "fork"
+    parallel._run_indexed = _exit_on_index_two
+    jobs = [(index, small_scenario, 0, index) for index in range(4)]
+    try:
+        with WorkerPool(processes=2) as pool:
+            list(pool.imap_indexed(iter(jobs), job_count=4))
+    except parallel.WorkerError as exc:
+        outcome.put(str(exc))
+    else:
+        outcome.put("no error raised")
+
+
+def test_dead_worker_fails_fast_instead_of_hanging(small_scenario):
+    """Regression: a worker killed mid-task used to hang ``imap_indexed``.
+
+    Without a retry policy the pool must notice the dead worker, tear
+    down the rest and raise an error naming the task and the exit code.
+    The body runs in a child process with a deadline, so a hang fails
+    this test instead of hanging the suite.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork start method required to inherit the patched worker")
+    ctx = multiprocessing.get_context("fork")
+    outcome = ctx.Queue()
+    child = ctx.Process(target=_crash_body, args=(small_scenario, outcome))
+    child.start()
+    child.join(timeout=30.0)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung, "imap_indexed hung on a dead worker"
+    message = outcome.get(timeout=5.0)
+    assert "small-test:s0:r2" in message
+    assert "exited with code 13" in message
 
 
 class TestTimedDispatch:

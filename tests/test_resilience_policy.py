@@ -1,13 +1,14 @@
 """Property tests: backoff schedules are deterministic and strictly bounded.
 
-The supervised pool's retry timing comes entirely from
+The executor's retry timing comes entirely from
 :meth:`RetryPolicy.backoff_delay` — a pure function of (policy seed, task
 key, attempt).  Determinism is what makes the fault-injection suite
 reproducible; the bound is what keeps a worst-case retry storm from
 stalling a campaign.  Hypothesis drives both with arbitrary policies and
 keys.  The quarantine property — a task that exhausts its attempts never
-re-enters the queue — is checked against the real supervisor on the fast
-serial path.
+re-enters the queue — is checked against the real executor
+(:class:`~repro.core.parallel.WorkerPool` under a policy) on the fast
+inline path.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from repro.core import (
     UserParameters,
     VirusParameters,
 )
+from repro.core.parallel import WorkerPool
 from repro.faults import FaultPlan, FaultSpec
-from repro.resilience import RetryPolicy, SupervisedWorkerPool
+from repro.resilience import RetryPolicy
 
 
 def policy_strategy():
@@ -140,10 +142,14 @@ class TestQuarantineNeverReenters:
         )
         # Task 1 fails on *every* attempt number it could ever see.
         plan = FaultPlan({1: FaultSpec(raise_attempts=tuple(range(20)))})
-        pool = SupervisedWorkerPool(
-            1, policy=policy, faults={1: plan.spec_for(1)}
-        )
-        report = pool.run(tiny_jobs)
+        with WorkerPool(1, policy=policy) as pool:
+            completed = sorted(
+                index
+                for index, _ in pool.imap_indexed(
+                    tiny_jobs, faults={1: plan.spec_for(1)}
+                )
+            )
+        report = pool.report
         assert report.quarantined == [1]
         failures = [e for e in report.events if e.task_id == 1]
         # One failure event per attempt, not one more: never re-queued.
@@ -152,4 +158,4 @@ class TestQuarantineNeverReenters:
         assert failures[-1].action == "quarantine"
         assert all(e.action == "retry" for e in failures[:-1])
         # The healthy tasks still completed exactly once.
-        assert sorted(report.results) == [0, 2]
+        assert completed == [0, 2]

@@ -1,13 +1,19 @@
-"""Supervised worker pool: crash/hang/corruption recovery, byte-identically.
+"""Supervised execution: crash/hang/corruption recovery, byte-identically.
 
-The fast serial-path tests run in tier-1; everything that injures real
-worker processes carries the ``faultinject`` marker (deselected by
-default, run with ``-m faultinject``).
+Supervision is the one executor, :class:`~repro.core.parallel.WorkerPool`,
+under a :class:`~repro.resilience.RetryPolicy`.  It is exercised both
+directly and through the replication scheduler.  The fast inline tests
+run in tier-1; everything that injures real worker processes carries the
+``faultinject`` marker (deselected by default, run with
+``-m faultinject``).  The scheduler-level tests that need real worker
+processes pass ``auto_degrade=False``: without a task timeout the cost
+model would otherwise run their tiny campaigns inline.
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -18,6 +24,7 @@ from repro.core import (
     UserParameters,
     VirusParameters,
 )
+from repro.core.parallel import WorkerPool
 from repro.core.simulation import replicate_scenario
 from repro.experiments import ReplicationScheduler
 from repro.faults import FaultPlan, FaultSpec
@@ -43,6 +50,36 @@ FAST_POLICY = RetryPolicy(max_retries=2, backoff_base=0.01, backoff_cap=0.05)
 
 def _times(result_set):
     return [r.infection_times for r in result_set.results]
+
+
+def _run_pool(pool, scenario, count, faults):
+    """Drive ``pool`` over ``count`` jobs; infection times by index."""
+    jobs = [(index, scenario, 9, index) for index in range(count)]
+    return {
+        index: result.infection_times
+        for index, result in pool.imap_indexed(jobs, faults=faults)
+    }
+
+
+class TestInlineExecutor:
+    """``WorkerPool(1, policy)``: retries and backoff without processes."""
+
+    def test_backoff_schedule_delays_the_retry(self, mini_scenario):
+        policy = RetryPolicy(
+            max_retries=1, backoff_base=0.3, backoff_cap=0.3, jitter=0.0
+        )
+        start = time.monotonic()
+        with WorkerPool(1, policy=policy) as pool:
+            got = _run_pool(
+                pool, mini_scenario, 1, {0: FaultSpec(raise_attempts=(0,))}
+            )
+        assert policy.backoff_delay("sup-mini:s9:r0", 1) == pytest.approx(0.3)
+        assert time.monotonic() - start >= 0.3
+        expected = replicate_scenario(mini_scenario, replications=1, seed=9)
+        assert got == {0: expected.results[0].infection_times}
+        assert [(e.attempt, e.kind, e.action) for e in pool.report.events] == [
+            (0, "error", "retry")
+        ]
 
 
 class TestSerialSupervised:
@@ -98,7 +135,8 @@ class TestFaultInjection:
         expected = replicate_scenario(mini_scenario, replications=4, seed=9)
         plan = FaultPlan({0: FaultSpec(crash_attempts=(0,))})
         with ReplicationScheduler(
-            processes=2, resilience=FAST_POLICY, fault_plan=plan
+            processes=2, resilience=FAST_POLICY, fault_plan=plan,
+            auto_degrade=False,
         ) as scheduler:
             got = scheduler.replicate(mini_scenario, replications=4, seed=9)
         assert _times(got) == _times(expected)
@@ -112,6 +150,7 @@ class TestFaultInjection:
             max_retries=2, backoff_base=0.01, backoff_cap=0.05, task_timeout=2.0
         )
         plan = FaultPlan({1: FaultSpec(hang_attempts=(0,), hang_seconds=60.0)})
+        # A policy with a task timeout never auto-degrades to inline.
         with ReplicationScheduler(
             processes=2, resilience=policy, fault_plan=plan
         ) as scheduler:
@@ -145,7 +184,9 @@ class TestFaultInjection:
 
         # Warm-up run: pays one-time interpreter costs (resource tracker,
         # mp context) so the baseline FD count is stable.
-        with ReplicationScheduler(processes=2, resilience=FAST_POLICY) as s:
+        with ReplicationScheduler(
+            processes=2, resilience=FAST_POLICY, auto_degrade=False
+        ) as s:
             s.replicate(mini_scenario, replications=4, seed=9)
         reap_stragglers()
         assert multiprocessing.active_children() == []
@@ -159,7 +200,8 @@ class TestFaultInjection:
             }
         )
         with ReplicationScheduler(
-            processes=2, resilience=FAST_POLICY, fault_plan=plan
+            processes=2, resilience=FAST_POLICY, fault_plan=plan,
+            auto_degrade=False,
         ) as scheduler:
             scheduler.replicate(mini_scenario, replications=4, seed=9)
         assert scheduler.pool_respawns >= 3
@@ -183,7 +225,8 @@ class TestFaultInjection:
             }
         )
         with ReplicationScheduler(
-            processes=2, resilience=policy, fault_plan=plan
+            processes=2, resilience=policy, fault_plan=plan,
+            auto_degrade=False,
         ) as scheduler:
             got = scheduler.replicate(mini_scenario, replications=4, seed=9)
         assert scheduler.degraded_to_serial
@@ -193,6 +236,84 @@ class TestFaultInjection:
         expected_times = _times(expected)
         for result in got.results:
             assert result.infection_times == expected_times[result.replication]
+
+
+@pytest.mark.faultinject
+class TestWorkerPoolSupervision:
+    """The executor itself, injured directly (no scheduler in between)."""
+
+    def test_crash_detected_and_retried(self, mini_scenario):
+        expected = replicate_scenario(mini_scenario, replications=4, seed=9)
+        with WorkerPool(2, policy=FAST_POLICY) as pool:
+            got = _run_pool(
+                pool, mini_scenario, 4, {0: FaultSpec(crash_attempts=(0,))}
+            )
+        assert got == dict(enumerate(_times(expected)))
+        report = pool.report
+        assert [(e.task_id, e.kind, e.action) for e in report.events] == [
+            (0, "crash", "retry")
+        ]
+        assert "exited with code 113" in report.events[0].detail
+        assert report.respawns == 1
+
+    def test_hang_timed_out(self, mini_scenario):
+        policy = RetryPolicy(
+            max_retries=1, backoff_base=0.01, backoff_cap=0.05, task_timeout=1.0
+        )
+        faults = {1: FaultSpec(hang_attempts=(0,), hang_seconds=60.0)}
+        start = time.monotonic()
+        with WorkerPool(2, policy=policy) as pool:
+            got = _run_pool(pool, mini_scenario, 3, faults)
+        assert time.monotonic() - start < 30.0
+        assert sorted(got) == [0, 1, 2]
+        assert [(e.task_id, e.kind, e.action) for e in pool.report.events] == [
+            (1, "timeout", "retry")
+        ]
+
+    def test_quarantine_reported_not_raised(self, mini_scenario):
+        faults = {1: FaultSpec(raise_attempts=tuple(range(10)))}
+        with WorkerPool(2, policy=FAST_POLICY) as pool:
+            got = _run_pool(pool, mini_scenario, 3, faults)
+        assert sorted(got) == [0, 2]
+        assert pool.report.quarantined == [1]
+        assert [e.action for e in pool.report.events] == [
+            "retry", "retry", "quarantine"
+        ]
+
+    def test_repeated_death_degrades_to_inline(self, mini_scenario):
+        expected = _times(
+            replicate_scenario(mini_scenario, replications=4, seed=9)
+        )
+        policy = RetryPolicy(
+            max_retries=4, backoff_base=0.005, backoff_cap=0.01,
+            max_pool_respawns=1,
+        )
+        always = tuple(range(10))
+        faults = {0: FaultSpec(crash_attempts=always),
+                  1: FaultSpec(crash_attempts=always)}
+        with WorkerPool(2, policy=policy) as pool:
+            got = _run_pool(pool, mini_scenario, 4, faults)
+        report = pool.report
+        assert sorted(report.retired) == [0, 1]
+        assert report.inline > 0
+        assert sorted(report.quarantined) == [0, 1]
+        assert got == {2: expected[2], 3: expected[3]}
+
+    def test_dead_worker_charges_only_its_stamped_task(self, mini_scenario):
+        """Every task routes to worker 0, so several sit in its queue when
+        task 1 kills it: only task 1 is charged, the rest re-queue free."""
+        expected = replicate_scenario(mini_scenario, replications=6, seed=9)
+        with WorkerPool(
+            2, policy=FAST_POLICY, route=lambda job, workers: 0
+        ) as pool:
+            got = _run_pool(
+                pool, mini_scenario, 6, {1: FaultSpec(crash_attempts=(0,))}
+            )
+        assert got == dict(enumerate(_times(expected)))
+        report = pool.report
+        assert [(e.task_id, e.kind) for e in report.events] == [(1, "crash")]
+        assert report.reassigned > 1
+        assert report.respawns == 1
 
 
 @pytest.mark.faultinject

@@ -409,6 +409,19 @@ class TestCliOffline:
         assert code == 2
         assert "service error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--shards", "0"), ("--heartbeat-timeout", "0")]
+    )
+    def test_daemon_bad_counts_exit_2(self, flag, value, tmp_path, capsys):
+        from repro.service.__main__ import main as service_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            service_main(["--spool", str(tmp_path), flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
+        assert not (tmp_path / "journal").exists()  # rejected before start
+
     def test_submit_unreachable_daemon_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
