@@ -135,6 +135,7 @@ def _at_least(kind, minimum, strict=False):
 positive_int = _at_least(int, 1)
 non_negative_int = _at_least(int, 0)
 positive_float = _at_least(float, 0.0, strict=True)
+population_int = _at_least(int, 2)  # NetworkParameters needs two phones
 
 
 def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
@@ -295,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="monitoring forced wait, hours")
     run_parser.add_argument("--threshold", type=int, default=10,
                             help="blacklist threshold, messages")
-    run_parser.add_argument("--population", type=int, default=1000)
-    run_parser.add_argument("--duration", type=float, default=None,
+    run_parser.add_argument("--population", type=population_int, default=1000)
+    run_parser.add_argument("--duration", type=positive_float, default=None,
                             help="override horizon, hours")
     run_parser.add_argument("--engine", choices=("core", "xl"), default="core",
                             help="simulation engine (xl = array-backed, "
@@ -403,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the matched-scenario mean-field gate (report the "
         "production frontier only)",
     )
-    frontier_parser.add_argument("--population", type=int, default=1000)
-    frontier_parser.add_argument("--duration", type=float, default=None,
+    frontier_parser.add_argument("--population", type=population_int,
+                                 default=1000)
+    frontier_parser.add_argument("--duration", type=positive_float, default=None,
                                  help="override horizon, hours")
     frontier_parser.add_argument("--engine", choices=("core", "xl"),
                                  default="core")
@@ -439,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", default="xl-10k",
         help="xl population preset (xl engine only)",
     )
-    profile_parser.add_argument("--population", type=int, default=None)
-    profile_parser.add_argument("--duration", type=float, default=None,
+    profile_parser.add_argument("--population", type=population_int, default=None)
+    profile_parser.add_argument("--duration", type=positive_float, default=None,
                                 help="override horizon, hours")
     profile_parser.add_argument(
         "--max-events", type=int, default=None,

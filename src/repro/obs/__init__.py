@@ -2,7 +2,7 @@
 
 ``repro.obs`` is the observability layer threaded through every execution
 path — the DES kernel, the worker pool, the replication scheduler, the
-benchmark harness, and the CLI:
+campaign daemon, and the CLI:
 
 * :mod:`repro.obs.metrics` — a :class:`Metrics` registry of counters,
   gauges, and timers with a near-zero-cost disabled path (model and
@@ -11,7 +11,7 @@ benchmark harness, and the CLI:
 * :mod:`repro.obs.manifest` — the per-run JSONL **run manifest**: one
   schema-validated record per run (scenario hashes, seeds, wall time,
   events/sec, cache stats, per-worker rates, host info) appended by the
-  scheduler, the benchmark harness, and ``repro-sim profile``;
+  scheduler, the campaign daemon, and ``repro-sim profile``;
 * :mod:`repro.obs.profile` — runs a short scenario under full
   instrumentation and reports a per-event-label hot-path breakdown.
 

@@ -49,8 +49,9 @@ import json
 import os
 import platform
 import socket
+from collections import namedtuple
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.parameters import ScenarioConfig
 from ..core.serialization import scenario_to_dict
@@ -62,43 +63,7 @@ MANIFEST_SCHEMA_VERSION = 1
 #: are appended by the campaign daemon (:mod:`repro.service`) — one per
 #: completed campaign, carrying the queue recovery report, the shard
 #: fleet accounting, and the request-log counters.
-MANIFEST_KINDS = ("run", "benchmark", "profile", "service")
-
-#: Required integer fields in the ``service`` section's sub-objects.
-_SERVICE_QUEUE_FIELDS = (
-    "pending",
-    "in_flight",
-    "torn_lines",
-    "segments_swept",
-)
-_SERVICE_SHARD_FIELDS = (
-    "executed",
-    "cache_hits",
-    "respawns",
-    "inline_fallback",
-    "reassigned_tasks",
-)
-
-#: Required top-level fields and their accepted types.
-_REQUIRED_FIELDS: Dict[str, tuple] = {
-    "manifest_schema": (int,),
-    "kind": (str,),
-    "label": (str,),
-    "created": (str,),
-    "wall_seconds": (int, float),
-    "events_executed": (int,),
-    "events_per_second": (int, float),
-    "host": (dict,),
-}
-
-#: Required per-worker fields in the ``workers`` section.
-_WORKER_FIELDS: Dict[str, tuple] = {
-    "pid": (int,),
-    "jobs": (int,),
-    "events": (int,),
-    "busy_seconds": (int, float),
-    "events_per_second": (int, float),
-}
+MANIFEST_KINDS = ("run", "profile", "service")
 
 #: The frontier axes a ``frontier`` record may declare.
 _FRONTIER_AXES = ("latency", "rollout")
@@ -108,104 +73,150 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _frontier_record_problems(
-    record: Any, prefix: str
-) -> List[str]:
-    """Schema-check one solved-frontier record (see ``FrontierResult``).
+# The schema is data: a spec is a scalar ``_Kind`` (accepted types, how
+# to describe them, and a value rule), a ``_ListOf`` items, a ``_MapOf``
+# string-keyed values, or a dict — an object whose keys ending in ``?``
+# are optional (absent or ``None``).  Keys a spec does not list pass
+# unchecked.  :func:`_check` walks a record against :data:`_SCHEMA`.
+_Kind = namedtuple("_Kind", "types expected valid invalid", defaults=(None, ""))
+_ListOf = namedtuple("_ListOf", "item min_items", defaults=(0,))
+_MapOf = namedtuple("_MapOf", "value")
 
-    A frontier record must carry its full evidence trail: the predicate
-    configuration, the bisection bracket trace, every probe's
-    per-replication finals, and the scheduler's cache-dedup accounting.
-    """
-    problems: List[str] = []
-    if not isinstance(record, Mapping):
-        return [f"{prefix} is not an object"]
-    for field in ("scenario", "engine", "status"):
-        if not isinstance(record.get(field), str):
-            problems.append(f"{prefix}.{field} missing or not a string")
-    if record.get("axis") not in _FRONTIER_AXES:
-        problems.append(f"{prefix}.axis not in {_FRONTIER_AXES}")
-    predicate = record.get("predicate")
-    if not isinstance(predicate, Mapping):
-        problems.append(f"{prefix}.predicate missing or not an object")
+# ``bool`` is an ``int`` subclass in Python; no numeric kind accepts it.
+_INT = _Kind((int,), "an int")
+_COUNT = _Kind((int,), "a non-negative int", lambda v: v >= 0, "negative")
+_NUMBER = _Kind((int, float), "a number")
+_SECONDS = _Kind((int, float), "a non-negative number", lambda v: v >= 0, "negative")
+_RATIO = _Kind((int, float), "a ratio", lambda v: 0 <= v <= 1, "outside [0, 1]")
+_SHARE = _Kind((int, float), "a share", lambda v: 0 < v <= 1, "outside (0, 1]")
+_STR = _Kind((str,), "a string")
+_BOOL = _Kind((bool,), "a bool")
+_PAIR = _Kind(
+    (list, tuple), "[low, high]",
+    lambda v: len(v) == 2 and all(_is_number(x) for x in v), "not [low, high]",
+)
+
+#: One solved-frontier record (see ``FrontierResult.manifest_section``)
+#: with its full evidence trail: the predicate configuration, the
+#: bisection bracket trace, every probe's per-replication finals, and
+#: the scheduler's cache-dedup accounting.
+_FRONTIER_RECORD = {
+    "scenario": _STR,
+    "engine": _STR,
+    "status": _STR,
+    "axis": _Kind((str,), "a frontier axis", lambda v: v in _FRONTIER_AXES,
+                  f"not one of {_FRONTIER_AXES}"),
+    "predicate": {"plateau": _NUMBER, "fraction": _NUMBER, "threshold": _NUMBER},
+    "critical": _NUMBER,
+    "interval": _PAIR,
+    "confidence": {"low": _NUMBER, "high": _NUMBER},
+    "bracket": _ListOf(
+        {"low": _NUMBER, "high": _NUMBER, "probe": _NUMBER, "contained": _BOOL}
+    ),
+    "probes": _ListOf(
+        {"value": _NUMBER, "finals": _ListOf(_NUMBER, 1), "contained": _BOOL}, 1
+    ),
+    "replications": _INT,
+    "seed": _INT,
+    "cache": {"scheduled": _COUNT, "executed": _COUNT, "cache_hits": _COUNT},
+}
+
+#: The whole record; the module docstring says what each section means.
+_SCHEMA = {
+    "manifest_schema": _Kind((int,), "an int", lambda v: v == MANIFEST_SCHEMA_VERSION,
+                             f"not schema version {MANIFEST_SCHEMA_VERSION}"),
+    "kind": _Kind((str,), "a string", lambda v: v in MANIFEST_KINDS,
+                  f"not one of {MANIFEST_KINDS}"),
+    "label": _STR,
+    "created": _STR,
+    "wall_seconds": _SECONDS,
+    "events_executed": _COUNT,
+    "events_per_second": _SECONDS,
+    "host": {},
+    "events_total?": _COUNT,
+    "seed?": _INT,
+    "seeds?": _ListOf(_INT),
+    "replications?": _COUNT,
+    "scenarios?": _ListOf({"name": _STR, "hash": _Kind((str,), "a config hash")}),
+    "cache?": {
+        "hits": _COUNT, "misses": _COUNT, "writes": _COUNT,
+        "hit_ratio": _RATIO, "dir": _STR,
+    },
+    "workers?": _ListOf({
+        "pid": _COUNT, "jobs": _COUNT, "events": _COUNT,
+        "busy_seconds": _SECONDS, "events_per_second": _SECONDS,
+    }),
+    "resilience?": {
+        "retries": _COUNT, "quarantined": _COUNT, "pool_respawns": _COUNT,
+        "degraded_to_serial": _BOOL,
+        "events": _ListOf({"kind": _STR, "action": _STR}),
+    },
+    "service?": {
+        "campaign": _STR,
+        "queue": {
+            "pending": _COUNT, "in_flight": _COUNT,
+            "torn_lines": _COUNT, "segments_swept": _COUNT,
+        },
+        "shards": {
+            "executed": _COUNT, "cache_hits": _COUNT, "respawns": _COUNT,
+            "inline_fallback": _COUNT, "reassigned_tasks": _COUNT,
+        },
+        "requests": _MapOf(_COUNT),
+    },
+    "design?": _ListOf({
+        "experiment": _STR,
+        "factors": _ListOf({"name": _STR, "levels": _COUNT}),
+        "points": _COUNT,
+        "dedup_ratio?": _SHARE,
+    }),
+    "frontier?": {
+        "production": _FRONTIER_RECORD,
+        "crosscheck?": {
+            "simulated": _FRONTIER_RECORD,
+            "analytic": {"critical": _NUMBER},
+            "passed": _BOOL,
+            "slack": _NUMBER,
+        },
+    },
+}
+
+
+def _shape(spec: Any) -> Tuple[tuple, str]:
+    """The types a spec accepts and how a problem describes them."""
+    if isinstance(spec, _Kind):
+        return spec.types, spec.expected
+    if isinstance(spec, _ListOf):
+        return (list, tuple), "a list"
+    return (Mapping,), "an object"
+
+
+def _check(value: Any, spec: Any, path: str, problems: List[str]) -> None:
+    """Append every way ``value`` (at dotted ``path``) fails ``spec``."""
+    where = path or "record"
+    types, expected = _shape(spec)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        problems.append(f"{where} has type {type(value).__name__}, expected {expected}")
+    elif isinstance(spec, _Kind):
+        if spec.valid is not None and not spec.valid(value):
+            problems.append(f"{where} = {value!r} is {spec.invalid}")
+    elif isinstance(spec, _ListOf):
+        if len(value) < spec.min_items:
+            problems.append(f"{where} is empty")
+        for position, item in enumerate(value):
+            _check(item, spec.item, f"{where}[{position}]", problems)
+    elif isinstance(spec, _MapOf):
+        for key, item in value.items():
+            _check(item, spec.value, f"{where}[{key!r}]", problems)
     else:
-        for field in ("plateau", "fraction", "threshold"):
-            if not _is_number(predicate.get(field)):
+        for key, field_spec in spec.items():
+            name, optional = key.rstrip("?"), key.endswith("?")
+            field = f"{path}.{name}" if path else name
+            if name in value and not (optional and value[name] is None):
+                _check(value[name], field_spec, field, problems)
+            elif not optional:
                 problems.append(
-                    f"{prefix}.predicate.{field} missing or not a number"
+                    f"missing required field {field!r} ({_shape(field_spec)[1]})"
                 )
-    if not _is_number(record.get("critical")):
-        problems.append(f"{prefix}.critical missing or not a number")
-    interval = record.get("interval")
-    if (
-        not isinstance(interval, Sequence)
-        or isinstance(interval, (str, bytes))
-        or len(interval) != 2
-        or not all(_is_number(v) for v in interval)
-    ):
-        problems.append(f"{prefix}.interval is not [low, high]")
-    confidence = record.get("confidence")
-    if not isinstance(confidence, Mapping) or not all(
-        _is_number(confidence.get(field)) for field in ("low", "high")
-    ):
-        problems.append(f"{prefix}.confidence lacks numeric low/high")
-    bracket = record.get("bracket")
-    if not isinstance(bracket, Sequence) or isinstance(bracket, (str, bytes)):
-        problems.append(f"{prefix}.bracket missing or not a list")
-    else:
-        for position, step in enumerate(bracket):
-            if (
-                not isinstance(step, Mapping)
-                or not all(
-                    _is_number(step.get(field))
-                    for field in ("low", "high", "probe")
-                )
-                or not isinstance(step.get("contained"), bool)
-            ):
-                problems.append(
-                    f"{prefix}.bracket[{position}] lacks "
-                    "low/high/probe/contained"
-                )
-    probes = record.get("probes")
-    if (
-        not isinstance(probes, Sequence)
-        or isinstance(probes, (str, bytes))
-        or not probes
-    ):
-        problems.append(f"{prefix}.probes missing or empty")
-    else:
-        for position, probe in enumerate(probes):
-            if not isinstance(probe, Mapping):
-                problems.append(f"{prefix}.probes[{position}] is not an object")
-                continue
-            finals = probe.get("finals")
-            if (
-                not _is_number(probe.get("value"))
-                or not isinstance(probe.get("contained"), bool)
-                or not isinstance(finals, Sequence)
-                or isinstance(finals, (str, bytes))
-                or not finals
-                or not all(_is_number(v) for v in finals)
-            ):
-                problems.append(
-                    f"{prefix}.probes[{position}] lacks "
-                    "value/finals/contained"
-                )
-    for field in ("replications", "seed"):
-        value = record.get(field)
-        if not isinstance(value, int) or isinstance(value, bool):
-            problems.append(f"{prefix}.{field} missing or not an int")
-    cache = record.get("cache")
-    if not isinstance(cache, Mapping):
-        problems.append(f"{prefix}.cache missing or not an object")
-    else:
-        for field in ("scheduled", "executed", "cache_hits"):
-            value = cache.get(field)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                problems.append(
-                    f"{prefix}.cache.{field} missing or not a non-negative int"
-                )
-    return problems
 
 
 def scenario_hash(config: ScenarioConfig) -> str:
@@ -242,6 +253,16 @@ def utc_timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="seconds"
     )
+
+
+def _plain(section: Any) -> Any:
+    """A fresh copy of one optional section: mappings become dicts,
+    sequences lists (item by item), and scalars (seeds, counts) ints."""
+    if isinstance(section, Mapping):
+        return dict(section)
+    if isinstance(section, Iterable):
+        return [_plain(item) for item in section]
+    return int(section)
 
 
 def build_manifest(
@@ -287,264 +308,26 @@ def build_manifest(
         "events_per_second": round(rate, 1),
         "host": host_info(),
     }
-    if events_total is not None:
-        document["events_total"] = int(events_total)
-    if seed is not None:
-        document["seed"] = int(seed)
-    if seeds is not None:
-        document["seeds"] = [int(s) for s in seeds]
-    if replications is not None:
-        document["replications"] = int(replications)
-    if scenarios is not None:
-        document["scenarios"] = [dict(s) for s in scenarios]
-    if scheduler is not None:
-        document["scheduler"] = dict(scheduler)
-    if design is not None:
-        document["design"] = [dict(d) for d in design]
-    if cache is not None:
-        document["cache"] = dict(cache)
-    if workers is not None:
-        document["workers"] = [dict(w) for w in workers]
-    if kernel is not None:
-        document["kernel"] = dict(kernel)
-    if resilience is not None:
-        document["resilience"] = dict(resilience)
-    if service is not None:
-        document["service"] = dict(service)
-    if frontier is not None:
-        document["frontier"] = dict(frontier)
-    if metrics is not None:
-        document["metrics"] = dict(metrics)
-    if extra is not None:
-        document["extra"] = dict(extra)
+    sections = dict(
+        events_total=events_total, seed=seed, seeds=seeds,
+        replications=replications, scenarios=scenarios, scheduler=scheduler,
+        design=design, cache=cache, workers=workers, kernel=kernel,
+        resilience=resilience, service=service, frontier=frontier,
+        metrics=metrics, extra=extra,
+    )
+    for name, section in sections.items():
+        if section is not None:
+            document[name] = _plain(section)
     return document
 
 
 def validate_manifest(document: Mapping[str, Any]) -> List[str]:
     """Schema-check one record; returns problems (empty list = valid)."""
     problems: List[str] = []
-    if not isinstance(document, Mapping):
-        return [f"record is {type(document).__name__}, not an object"]
-    for name, types in _REQUIRED_FIELDS.items():
-        if name not in document:
-            problems.append(f"missing required field {name!r}")
-        elif not isinstance(document[name], types) or isinstance(
-            document[name], bool
-        ):
-            problems.append(
-                f"field {name!r} has type {type(document[name]).__name__}, "
-                f"expected {'/'.join(t.__name__ for t in types)}"
-            )
-    if not problems:
-        if document["manifest_schema"] != MANIFEST_SCHEMA_VERSION:
-            problems.append(
-                f"manifest_schema {document['manifest_schema']} != "
-                f"{MANIFEST_SCHEMA_VERSION}"
-            )
-        if document["kind"] not in MANIFEST_KINDS:
-            problems.append(
-                f"kind {document['kind']!r} not in {MANIFEST_KINDS}"
-            )
-        if document["wall_seconds"] < 0:
-            problems.append("wall_seconds is negative")
-        if document["events_executed"] < 0:
-            problems.append("events_executed is negative")
-
-    cache = document.get("cache")
-    if cache is not None:
-        if not isinstance(cache, Mapping):
-            problems.append("cache section is not an object")
-        else:
-            for field in ("hits", "misses", "writes"):
-                if not isinstance(cache.get(field), int):
-                    problems.append(f"cache.{field} missing or not an int")
-            ratio = cache.get("hit_ratio")
-            if not isinstance(ratio, (int, float)) or not 0.0 <= ratio <= 1.0:
-                problems.append("cache.hit_ratio missing or outside [0, 1]")
-            if not isinstance(cache.get("dir"), str):
-                problems.append("cache.dir missing or not a string")
-
-    workers = document.get("workers")
-    if workers is not None:
-        if not isinstance(workers, Sequence) or isinstance(workers, (str, bytes)):
-            problems.append("workers section is not a list")
-        else:
-            for position, worker in enumerate(workers):
-                if not isinstance(worker, Mapping):
-                    problems.append(f"workers[{position}] is not an object")
-                    continue
-                for field, types in _WORKER_FIELDS.items():
-                    if not isinstance(worker.get(field), types):
-                        problems.append(
-                            f"workers[{position}].{field} missing or mistyped"
-                        )
-
-    resilience = document.get("resilience")
-    if resilience is not None:
-        if not isinstance(resilience, Mapping):
-            problems.append("resilience section is not an object")
-        else:
-            for field in ("retries", "quarantined", "pool_respawns"):
-                value = resilience.get(field)
-                if not isinstance(value, int) or isinstance(value, bool):
-                    problems.append(
-                        f"resilience.{field} missing or not an int"
-                    )
-            if not isinstance(resilience.get("degraded_to_serial"), bool):
-                problems.append(
-                    "resilience.degraded_to_serial missing or not a bool"
-                )
-            events = resilience.get("events")
-            if not isinstance(events, Sequence) or isinstance(
-                events, (str, bytes)
-            ):
-                problems.append("resilience.events missing or not a list")
-            else:
-                for position, event in enumerate(events):
-                    if not isinstance(event, Mapping) or not isinstance(
-                        event.get("kind"), str
-                    ) or not isinstance(event.get("action"), str):
-                        problems.append(
-                            f"resilience.events[{position}] lacks kind/action"
-                        )
-
-    service = document.get("service")
-    if service is None and document.get("kind") == "service":
-        problems.append("kind 'service' requires a service section")
-    if service is not None:
-        if not isinstance(service, Mapping):
-            problems.append("service section is not an object")
-        else:
-            if not isinstance(service.get("campaign"), str):
-                problems.append("service.campaign missing or not a string")
-            queue = service.get("queue")
-            if not isinstance(queue, Mapping):
-                problems.append("service.queue missing or not an object")
-            else:
-                for field in _SERVICE_QUEUE_FIELDS:
-                    value = queue.get(field)
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        problems.append(
-                            f"service.queue.{field} missing or not an int"
-                        )
-            shards = service.get("shards")
-            if not isinstance(shards, Mapping):
-                problems.append("service.shards missing or not an object")
-            else:
-                for field in _SERVICE_SHARD_FIELDS:
-                    value = shards.get(field)
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        problems.append(
-                            f"service.shards.{field} missing or not an int"
-                        )
-            requests = service.get("requests")
-            if not isinstance(requests, Mapping):
-                problems.append("service.requests missing or not an object")
-            else:
-                for op, count in requests.items():
-                    if not isinstance(count, int) or isinstance(count, bool):
-                        problems.append(
-                            f"service.requests[{op!r}] is not an int"
-                        )
-
-    design = document.get("design")
-    if design is not None:
-        if not isinstance(design, Sequence) or isinstance(design, (str, bytes)):
-            problems.append("design section is not a list")
-        else:
-            for position, record in enumerate(design):
-                if not isinstance(record, Mapping):
-                    problems.append(f"design[{position}] is not an object")
-                    continue
-                if not isinstance(record.get("experiment"), str):
-                    problems.append(f"design[{position}] lacks an experiment id")
-                factors = record.get("factors")
-                if not isinstance(factors, Sequence) or isinstance(
-                    factors, (str, bytes)
-                ):
-                    problems.append(
-                        f"design[{position}].factors missing or not a list"
-                    )
-                else:
-                    for fpos, factor in enumerate(factors):
-                        if not isinstance(factor, Mapping) or not isinstance(
-                            factor.get("name"), str
-                        ) or not isinstance(factor.get("levels"), int):
-                            problems.append(
-                                f"design[{position}].factors[{fpos}] lacks "
-                                "name/levels"
-                            )
-                if not isinstance(record.get("points"), int):
-                    problems.append(
-                        f"design[{position}].points missing or not an int"
-                    )
-                ratio = record.get("dedup_ratio")
-                if ratio is not None and (
-                    not isinstance(ratio, (int, float))
-                    or isinstance(ratio, bool)
-                    or not 0.0 < ratio <= 1.0
-                ):
-                    problems.append(
-                        f"design[{position}].dedup_ratio outside (0, 1]"
-                    )
-
-    frontier = document.get("frontier")
-    if frontier is not None:
-        if not isinstance(frontier, Mapping):
-            problems.append("frontier section is not an object")
-        else:
-            production = frontier.get("production")
-            if production is None:
-                problems.append("frontier.production missing")
-            else:
-                problems.extend(
-                    _frontier_record_problems(production, "frontier.production")
-                )
-            crosscheck = frontier.get("crosscheck")
-            if crosscheck is not None:
-                if not isinstance(crosscheck, Mapping):
-                    problems.append("frontier.crosscheck is not an object")
-                else:
-                    simulated = crosscheck.get("simulated")
-                    if simulated is None:
-                        problems.append("frontier.crosscheck.simulated missing")
-                    else:
-                        problems.extend(
-                            _frontier_record_problems(
-                                simulated, "frontier.crosscheck.simulated"
-                            )
-                        )
-                    analytic = crosscheck.get("analytic")
-                    if not isinstance(analytic, Mapping) or not _is_number(
-                        analytic.get("critical")
-                    ):
-                        problems.append(
-                            "frontier.crosscheck.analytic lacks a numeric "
-                            "critical"
-                        )
-                    if not isinstance(crosscheck.get("passed"), bool):
-                        problems.append(
-                            "frontier.crosscheck.passed missing or not a bool"
-                        )
-                    if not _is_number(crosscheck.get("slack")):
-                        problems.append(
-                            "frontier.crosscheck.slack missing or not a number"
-                        )
-
-    scenarios = document.get("scenarios")
-    if scenarios is not None:
-        if not isinstance(scenarios, Sequence) or isinstance(
-            scenarios, (str, bytes)
-        ):
-            problems.append("scenarios section is not a list")
-        else:
-            for position, scenario in enumerate(scenarios):
-                if not isinstance(scenario, Mapping) or not isinstance(
-                    scenario.get("name"), str
-                ):
-                    problems.append(f"scenarios[{position}] lacks a name")
-                elif not isinstance(scenario.get("hash"), str):
-                    problems.append(f"scenarios[{position}] lacks a config hash")
+    _check(document, _SCHEMA, "", problems)
+    if isinstance(document, Mapping) and document.get("kind") == "service":
+        if document.get("service") is None:
+            problems.append("kind 'service' requires a service section")
     return problems
 
 

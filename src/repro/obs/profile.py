@@ -14,6 +14,8 @@ does the time go", not "how fast is the kernel".
 
 from __future__ import annotations
 
+import resource
+import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional
@@ -118,6 +120,9 @@ class XLProfileReport:
     events: int
     rounds: int
     final_infected: int
+    #: Process peak resident set size (``ru_maxrss``) after the run, MiB —
+    #: at xl-1m this is the topology build's high-water mark.
+    peak_rss_mib: float
     #: Per-phase rows: name, total seconds, share of the measured
     #: round-loop time.  Sorted by total time, descending.
     phases: List[Dict[str, Any]] = field(default_factory=list)
@@ -136,7 +141,8 @@ class XLProfileReport:
             f"(xl engine, preset {self.preset}, seed {self.seed})",
             f"wall: {self.wall_seconds:.3f}s  "
             f"(build {self.build_seconds:.3f}s, "
-            f"round loop {self.run_seconds:.3f}s)",
+            f"round loop {self.run_seconds:.3f}s, "
+            f"peak_rss_mib {self.peak_rss_mib:.1f})",
             f"events: {self.events}  rounds: {self.rounds}  "
             f"({self.events_per_second:,.0f} ev/s under instrumentation)",
             f"final infected: {self.final_infected}",
@@ -161,11 +167,19 @@ class XLProfileReport:
                 "engine": "xl",
                 "preset": self.preset,
                 "build_seconds": round(self.build_seconds, 6),
+                "peak_rss_mib": round(self.peak_rss_mib, 1),
                 "rounds": self.rounds,
                 "final_infected": self.final_infected,
                 "phases": self.phases,
             },
         }
+
+
+def _peak_rss_mib() -> float:
+    """This process's peak resident set size (``ru_maxrss``), in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes.
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 def run_profile_xl(
@@ -178,9 +192,13 @@ def run_profile_xl(
 ) -> XLProfileReport:
     """Run one phase-instrumented xl replication and assemble its breakdown.
 
-    Mirrors the benchmark harness's xl runner (same construction order,
-    same seeding) but with ``profile_phases=True``, so per-round phase
-    wall time accumulates in :attr:`XLEngine.phase_seconds`.  A non-zero
+    Builds and runs one replication as
+    :func:`repro.xl.engine.run_scenario_xl` does (same construction
+    order, same seeding) but with ``profile_phases=True``, so per-round
+    phase wall time accumulates in :attr:`XLEngine.phase_seconds`.  The
+    process's peak RSS is read after the run, so profile one scenario
+    per process (as the CLI does) to read it as that scenario's
+    footprint.  A non-zero
     ``bluetooth_rate`` (optionally with waypoint ``mobility``) switches
     the scenario to the hybrid preset, adding the ``bt_encounters``
     phase to the breakdown.
@@ -231,6 +249,7 @@ def run_profile_xl(
         events=int(engine.counters["events_fired"]),
         rounds=rounds,
         final_infected=len(engine.infection_times),
+        peak_rss_mib=_peak_rss_mib(),
         phases=phases,
     )
 

@@ -111,6 +111,10 @@ def test_parser_rejects_bad_virus():
         ("--retries", "-1"),
         ("--task-timeout", "0"),
         ("--processes", "two"),
+        ("--population", "0"),
+        ("--population", "1"),
+        ("--duration", "-1"),
+        ("--duration", "0"),
     ],
 )
 def test_bad_counts_exit_2_with_usage(flag, value, capsys):
@@ -120,6 +124,17 @@ def test_bad_counts_exit_2_with_usage(flag, value, capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and flag in err
+
+
+@pytest.mark.parametrize(
+    "command", [["frontier", "--virus", "1", "--response", "scan"], ["profile"]]
+)
+@pytest.mark.parametrize("flag, value", [("--population", "1"), ("--duration", "-1")])
+def test_bad_scenario_values_exit_2_on_every_command(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + [flag, value])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

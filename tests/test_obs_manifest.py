@@ -132,6 +132,37 @@ class TestValidate:
     def test_non_mapping_rejected(self):
         assert validate_manifest([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "field, value, flagged",
+        [
+            (
+                "cache",
+                {"hits": True, "misses": -3, "writes": False,
+                 "hit_ratio": True, "dir": "/c"},
+                ["cache.hits", "cache.misses", "cache.writes", "cache.hit_ratio"],
+            ),
+            (
+                "workers",
+                [{"pid": True, "jobs": -1, "events": False,
+                  "busy_seconds": True, "events_per_second": 1.0}],
+                ["workers[0].pid", "workers[0].jobs", "workers[0].events",
+                 "workers[0].busy_seconds"],
+            ),
+            ("events_per_second", -5.0, ["events_per_second"]),
+            ("resilience", {"retries": True, "quarantined": 0,
+                            "pool_respawns": 0, "degraded_to_serial": False,
+                            "events": []}, ["resilience.retries"]),
+        ],
+    )
+    def test_bools_and_negatives_rejected(self, config, field, value, flagged):
+        """``bool`` is not a count, and counters and rates are never negative."""
+        record = full_record(config)
+        record[field] = value
+        problems = validate_manifest(record)
+        for path in flagged:
+            assert any(p.startswith(path + " ") for p in problems), (path, problems)
+        assert len(problems) == len(flagged)
+
 
 class TestScenarioHash:
     def test_stable(self, config):
@@ -183,7 +214,7 @@ class TestCheckCli:
         path = tmp_path / "out.jsonl"
         append_manifest(path, full_record(config))
         assert obs_main(["check", str(path), "--kind", "run"]) == 0
-        assert obs_main(["check", str(path), "--kind", "benchmark"]) == 1
+        assert obs_main(["check", str(path), "--kind", "profile"]) == 1
 
     def test_missing_file_fails(self, tmp_path, capsys):
         assert obs_main(["check", str(tmp_path / "nope.jsonl")]) == 1

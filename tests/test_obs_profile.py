@@ -110,6 +110,13 @@ class TestRunProfileXL:
         assert record["extra"]["engine"] == "xl"
         assert record["extra"]["phases"] == xl_report.phases
 
+    def test_peak_rss_reported(self, xl_report):
+        # The one footprint figure the xl-1m memory target is read from.
+        assert xl_report.peak_rss_mib > 0
+        assert "peak_rss_mib" in xl_report.format()
+        extra = xl_report.manifest_sections()["extra"]
+        assert extra["peak_rss_mib"] > 0
+
     def test_instrumentation_preserves_results(self, xl_report):
         # The profiled loop must be semantics-identical to the plain one.
         from repro.des.random import StreamFactory
