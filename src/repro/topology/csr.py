@@ -1,4 +1,4 @@
-"""CSR (compressed sparse row) contact networks for large populations.
+"""CSR (compressed sparse row) contact networks and the power-law builder.
 
 The object-based :class:`~repro.topology.graph.ContactGraph` keeps one
 ``set`` per node; at the paper's density (mean contact-list size 80) that
@@ -13,24 +13,23 @@ semantics as two flat integer arrays:
     ``int32`` array of neighbour ids, sorted within each row (matching
     the sorted tuples from :meth:`ContactGraph.neighbor_lists`).
 
-:func:`csr_powerlaw` is a vectorised configuration-model generator using
-the *same calibration* as
-:func:`~repro.topology.generators.powerlaw_configuration_model`
-(truncated power law ``p(k) ∝ k^-exponent``, ``k_min`` solved so the
-drawn mean compensates for duplicate-edge collapse), so degree
-distributions agree statistically across the two generators even though
-the edge-by-edge realisations differ.
+It also holds the one power-law configuration-model stage both
+generators share: :func:`configuration_model` draws the degree sequence,
+shuffles the stubs, pairs them and dedupes through
+:meth:`CSRAdjacency.from_edges`.  :func:`csr_powerlaw` (the xl engine)
+and :func:`~repro.topology.generators.powerlaw_configuration_model` (the
+core engine) differ only in how they repair isolated phones afterwards,
+so from one seed they wire the same edges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .generators import _truncated_powerlaw_pmf, solve_powerlaw_k_min
 from .graph import ContactGraph
 
 
@@ -73,6 +72,16 @@ class CSRAdjacency:
     def neighbors(self, node: int) -> np.ndarray:
         """Sorted neighbour ids of ``node`` (view into ``indices``)."""
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
+
+    def neighbor_lists(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every row as a sorted tuple of Python ints.
+
+        Equal to :meth:`ContactGraph.neighbor_lists` of the same graph;
+        slicing one flat tuple avoids a per-row array conversion.
+        """
+        flat = tuple(self.indices.tolist())
+        bounds = self.indptr.tolist()
+        return tuple(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
 
     @classmethod
     def from_edges(cls, num_nodes: int, u: np.ndarray, v: np.ndarray) -> "CSRAdjacency":
@@ -152,23 +161,63 @@ class CSRAdjacency:
         return graph
 
 
-def csr_powerlaw(
+def _truncated_powerlaw_pmf(exponent: float, k_min: int, k_max: int) -> np.ndarray:
+    """PMF of p(k) ∝ k^-exponent on [k_min, k_max]."""
+    ks = np.arange(k_min, k_max + 1, dtype=float)
+    weights = ks**-exponent
+    return weights / weights.sum()
+
+
+def _powerlaw_mean(exponent: float, k_min: int, k_max: int) -> float:
+    """Mean of the truncated power-law degree distribution."""
+    ks = np.arange(k_min, k_max + 1, dtype=float)
+    pmf = _truncated_powerlaw_pmf(exponent, k_min, k_max)
+    return float((ks * pmf).sum())
+
+
+def solve_powerlaw_k_min(
+    mean_degree: float,
+    exponent: float,
+    k_max: int,
+) -> int:
+    """Smallest ``k_min`` whose truncated power law has mean >= ``mean_degree``.
+
+    The mean of p(k) ∝ k^-exponent on [k_min, k_max] is increasing in
+    ``k_min``, so a linear scan (cheap at these sizes) finds the
+    calibration point.  Raises if even ``k_min = k_max`` cannot reach the
+    target.
+    """
+    if mean_degree <= 0:
+        raise ValueError(f"mean_degree must be > 0, got {mean_degree}")
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    for k_min in range(1, k_max + 1):
+        if _powerlaw_mean(exponent, k_min, k_max) >= mean_degree:
+            return k_min
+    raise ValueError(
+        f"mean degree {mean_degree} unreachable with exponent {exponent} "
+        f"and k_max {k_max}"
+    )
+
+
+def configuration_model(
     num_nodes: int,
     mean_degree: float,
     exponent: float,
     rng: np.random.Generator,
     k_max: Optional[int] = None,
 ) -> CSRAdjacency:
-    """Vectorised power-law configuration model straight to CSR.
+    """Power-law configuration model before any isolated-phone repair.
 
-    Same model family and calibration as
-    :func:`~repro.topology.generators.powerlaw_configuration_model`
-    (see that docstring for why the drawn mean sits ~13% above target),
-    but built entirely with array operations: degree draws, stub
-    shuffling, consecutive-pair matching, self-loop drop, duplicate
-    collapse via unique edge keys, and an isolated-node fixup — all
-    without per-edge Python objects.  Practical up to populations of
-    millions (N=1M at mean degree 80 peaks around ~1 GB transient).
+    Draws a degree sequence from a truncated power law
+    ``p(k) ∝ k^-exponent`` on ``[k_min, k_max]``, with ``k_min``
+    calibrated so the drawn mean sits ~13% above ``mean_degree`` (stub
+    matching collapses duplicate edges, mostly at hubs, which costs about
+    that much realized degree at the paper's density).  The stubs are
+    shuffled and paired consecutively; self-loops drop and duplicates
+    collapse in :meth:`CSRAdjacency.from_edges`.  The draws are one
+    ``rng.choice`` of degrees, one ``rng.integers`` parity fix when the
+    stub count is odd, and one ``rng.shuffle``.
     """
     if num_nodes < 2:
         return CSRAdjacency(
@@ -176,6 +225,8 @@ def csr_powerlaw(
             indices=np.empty(0, dtype=np.int32),
         )
     if k_max is None:
+        # Hubs up to half the population by default, but always enough
+        # headroom above the target mean for the calibration to succeed.
         k_max = max(2, num_nodes // 2, int(math.ceil(mean_degree * 2)))
     k_max = min(k_max, num_nodes - 1)
     target = min(mean_degree * 1.13, float(k_max))
@@ -189,10 +240,31 @@ def csr_powerlaw(
     stubs = np.repeat(np.arange(num_nodes, dtype=np.int32), degrees)
     rng.shuffle(stubs)
     half = len(stubs) // 2
-    u = stubs[: 2 * half : 2]
-    v = stubs[1 : 2 * half : 2]
-    adjacency = CSRAdjacency.from_edges(num_nodes, u, v)
+    return CSRAdjacency.from_edges(
+        num_nodes, stubs[: 2 * half : 2], stubs[1 : 2 * half : 2]
+    )
 
+
+def csr_powerlaw(
+    num_nodes: int,
+    mean_degree: float,
+    exponent: float,
+    rng: np.random.Generator,
+    k_max: Optional[int] = None,
+) -> CSRAdjacency:
+    """Vectorised power-law configuration model straight to CSR.
+
+    :func:`configuration_model` plus an isolated-node fixup spliced into
+    the arrays, all without per-edge Python objects.  Practical up to
+    populations of millions (N=1M at mean degree 80 peaks around ~1 GB
+    transient).  The fixup draws its partners in one vectorised call, so
+    when a graph has isolated phones its repair edges (and the RNG state
+    after the build) differ from the core engine's
+    :func:`~repro.topology.generators.attach_isolated_nodes`.
+    """
+    adjacency = configuration_model(num_nodes, mean_degree, exponent, rng, k_max)
+    if num_nodes < 2:
+        return adjacency
     isolated = np.nonzero(adjacency.degrees() == 0)[0]
     if isolated.size == 0:
         return adjacency
@@ -232,4 +304,9 @@ def _insert_edges(
     return CSRAdjacency(indptr=new_indptr, indices=new_indices)
 
 
-__all__ = ["CSRAdjacency", "csr_powerlaw"]
+__all__ = [
+    "CSRAdjacency",
+    "configuration_model",
+    "csr_powerlaw",
+    "solve_powerlaw_k_min",
+]

@@ -3,11 +3,11 @@
 Stands in for the NGCE package ("Network Graphs for Computer
 Epidemiologists") the paper modified to emit contact lists.  The paper's
 requirement is a *reciprocal* contact network over 1000 phones whose
-contact-list sizes follow a power law with mean 80; we provide that
-(Chung–Lu expected-degree model and Barabási–Albert preferential
-attachment) plus the standard comparison topologies epidemiologists use
-(Erdős–Rényi, Watts–Strogatz, ring lattice, complete), all over
-:class:`~repro.topology.graph.ContactGraph`.
+contact-list sizes follow a power law with mean 80; we provide that (the
+configuration model, the default; Chung–Lu expected-degree weights; and
+Barabási–Albert preferential attachment) plus the standard comparison
+topologies epidemiologists use (Erdős–Rényi, Watts–Strogatz, ring
+lattice, complete), all over :class:`~repro.topology.graph.ContactGraph`.
 
 All generators take an explicit ``numpy`` generator so topology draws come
 from their own stream (see :class:`repro.des.random.StreamFactory`).
@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .csr import configuration_model
 from .graph import ContactGraph
 
 
@@ -182,45 +183,6 @@ def chung_lu_powerlaw(
     return graph
 
 
-def _truncated_powerlaw_pmf(exponent: float, k_min: int, k_max: int) -> np.ndarray:
-    """PMF of p(k) ∝ k^-exponent on [k_min, k_max]."""
-    ks = np.arange(k_min, k_max + 1, dtype=float)
-    weights = ks**-exponent
-    return weights / weights.sum()
-
-
-def _powerlaw_mean(exponent: float, k_min: int, k_max: int) -> float:
-    """Mean of the truncated power-law degree distribution."""
-    ks = np.arange(k_min, k_max + 1, dtype=float)
-    pmf = _truncated_powerlaw_pmf(exponent, k_min, k_max)
-    return float((ks * pmf).sum())
-
-
-def solve_powerlaw_k_min(
-    mean_degree: float,
-    exponent: float,
-    k_max: int,
-) -> int:
-    """Smallest ``k_min`` whose truncated power law has mean >= ``mean_degree``.
-
-    The mean of p(k) ∝ k^-exponent on [k_min, k_max] is increasing in
-    ``k_min``, so a linear scan (cheap at these sizes) finds the
-    calibration point.  Raises if even ``k_min = k_max`` cannot reach the
-    target.
-    """
-    if mean_degree <= 0:
-        raise ValueError(f"mean_degree must be > 0, got {mean_degree}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    for k_min in range(1, k_max + 1):
-        if _powerlaw_mean(exponent, k_min, k_max) >= mean_degree:
-            return k_min
-    raise ValueError(
-        f"mean degree {mean_degree} unreachable with exponent {exponent} "
-        f"and k_max {k_max}"
-    )
-
-
 def powerlaw_configuration_model(
     num_nodes: int,
     mean_degree: float,
@@ -233,7 +195,10 @@ def powerlaw_configuration_model(
     Draws a degree sequence from a truncated power law
     ``p(k) ∝ k^-exponent`` on ``[k_min, k_max]`` with ``k_min`` calibrated
     so the distribution's mean matches ``mean_degree``, then wires stubs by
-    random matching, discarding self-loops and duplicate edges.
+    random matching, discarding self-loops and duplicate edges (see
+    :func:`~repro.topology.csr.configuration_model`, which this wraps, so
+    the edges equal :func:`~repro.topology.csr.csr_powerlaw`'s from one
+    seed whenever no phone is left isolated).
 
     This family matches what the paper needs from NGCE: contact lists whose
     *mean* is 80 but whose *median* is much smaller (address books are
@@ -241,33 +206,8 @@ def powerlaw_configuration_model(
     which is what gives contact-list viruses their multi-day spread while
     leaving random-dialing viruses fast.
     """
-    if num_nodes < 2:
-        return ContactGraph(num_nodes)
-    if k_max is None:
-        # Hubs up to half the population by default, but always enough
-        # headroom above the target mean for the calibration to succeed.
-        k_max = max(2, num_nodes // 2, int(math.ceil(mean_degree * 2)))
-    k_max = min(k_max, num_nodes - 1)
-    # Stub matching silently collapses duplicate edges (mostly at hubs),
-    # which costs ~12% of realized degree at the paper's density; calibrate
-    # the drawn distribution above target to compensate (clamped to what
-    # the truncated support can express).
-    target = min(mean_degree * 1.13, float(k_max))
-    k_min = solve_powerlaw_k_min(target, exponent, k_max)
-    pmf = _truncated_powerlaw_pmf(exponent, k_min, k_max)
-    ks = np.arange(k_min, k_max + 1)
-    degrees = rng.choice(ks, size=num_nodes, p=pmf)
-    if degrees.sum() % 2 == 1:
-        degrees[int(rng.integers(0, num_nodes))] += 1
-
-    stubs = np.repeat(np.arange(num_nodes), degrees)
-    rng.shuffle(stubs)
-    graph = ContactGraph(num_nodes)
-    for i in range(0, len(stubs) - 1, 2):
-        u, v = int(stubs[i]), int(stubs[i + 1])
-        if u != v:
-            graph.add_edge(u, v)  # duplicate edges collapse silently
-    return graph
+    adjacency = configuration_model(num_nodes, mean_degree, exponent, rng, k_max)
+    return ContactGraph.from_sorted_rows(adjacency.neighbor_lists())
 
 
 def attach_isolated_nodes(graph: ContactGraph, rng: np.random.Generator) -> int:

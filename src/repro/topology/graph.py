@@ -38,6 +38,23 @@ class ContactGraph:
             graph.add_edge(u, v)
         return graph
 
+    @classmethod
+    def from_sorted_rows(cls, rows: Sequence[Tuple[int, ...]]) -> "ContactGraph":
+        """Build a graph from every node's sorted contact tuple.
+
+        ``rows`` must already be a reciprocal, loop-free, duplicate-free
+        adjacency with each row sorted, as
+        :meth:`~repro.topology.csr.CSRAdjacency.neighbor_lists` yields; it
+        is trusted, not re-checked edge by edge.  The rows become the
+        cached :meth:`neighbor_lists`, so an unmodified graph never
+        re-sorts them.
+        """
+        graph = cls(len(rows))
+        graph._adjacency = [set(row) for row in rows]
+        graph._num_edges = sum(map(len, rows)) // 2
+        graph._neighbor_lists = tuple(rows)
+        return graph
+
     def add_edge(self, u: int, v: int) -> bool:
         """Add undirected edge (u, v).  Returns True if newly added."""
         self._check_node(u)

@@ -85,8 +85,16 @@ def round_width(config: ScenarioConfig) -> float:
     Half the minimum send interval keeps every infection→first-send chain
     crossing a round boundary (first send comes ``>= dormancy + 2*dt``
     after the infection), so batching never reorders the causal chain the
-    epidemic depends on.
+    epidemic depends on.  A horizon longer than :data:`MAX_ROUNDS` such
+    rounds widens ``dt`` and breaks that promise; the engine records the
+    widening as a ``dt_widened`` counter in its result.
     """
+    dt = max(_causal_round_width(config), config.duration / MAX_ROUNDS)
+    return min(dt, config.duration)
+
+
+def _causal_round_width(config: ScenarioConfig) -> float:
+    """The round width the causal-ordering argument asks for."""
     virus = config.virus
     if virus.min_send_interval > 0:
         base = virus.min_send_interval
@@ -99,9 +107,7 @@ def round_width(config: ScenarioConfig) -> float:
         # the mean inter-encounter gap so per-round encounter counts stay
         # small and proximity infection chains cross round boundaries.
         base = min(base, 1.0 / virus.bluetooth_rate)
-    dt = base / 2.0
-    dt = max(dt, config.duration / MAX_ROUNDS)
-    return min(dt, config.duration)
+    return base / 2.0
 
 
 class XLEngine:
@@ -338,6 +344,10 @@ class XLEngine:
             "events_fired": 0,
             "xl_rounds": 0,
         }
+        if self.dt > _causal_round_width(config):
+            # Present only when widened, so every other result (and its
+            # cache digest) is unchanged.
+            self.counters["dt_widened"] = 1
 
     # -- seeding -------------------------------------------------------------
 

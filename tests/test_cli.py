@@ -138,6 +138,29 @@ def test_bad_scenario_values_exit_2_on_every_command(command, flag, value, capsy
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--virus", "1", "--response", "detection", "--accuracy", "2"],
+         "accuracy must be in [0, 1]"),
+        (["run", "--virus", "1", "--response", "education", "--scale", "-1"],
+         "acceptance_scale must be in [0, 1]"),
+        (["frontier", "--virus", "1", "--response", "detection",
+          "--accuracy", "2"], "accuracy must be in [0, 1]"),
+        (["profile", "--engine", "xl", "--mobility", "--speed-min", "10",
+          "--speed-max", "1"], "speed_min <= speed_max"),
+    ],
+)
+def test_rejected_scenario_values_exit_2_with_usage(argv, message, capsys):
+    """A value ScenarioConfig rejects is a usage error, not a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"usage: repro-sim {argv[0]}" in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "flag, value", [("--shards", "0"), ("--heartbeat-timeout", "0")]
 )
 def test_serve_bad_counts_exit_2_with_usage(flag, value, tmp_path, capsys):

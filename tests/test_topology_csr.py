@@ -113,6 +113,8 @@ def test_contact_graph_round_trip():
     assert list(adjacency.neighbors(0)) == [1, 2]
     back = adjacency.to_contact_graph()
     assert back.neighbor_lists() == graph.neighbor_lists()
+    assert adjacency.neighbor_lists() == graph.neighbor_lists()
+    assert all(type(v) is int for row in adjacency.neighbor_lists() for v in row)
 
 
 def test_validation_errors():

@@ -15,10 +15,8 @@ from repro.topology import (
     ring_lattice,
     watts_strogatz,
 )
-from repro.topology.generators import (
-    powerlaw_configuration_model,
-    solve_powerlaw_k_min,
-)
+from repro.topology.csr import solve_powerlaw_k_min
+from repro.topology.generators import powerlaw_configuration_model
 from repro.topology.metrics import DegreeStats, largest_component_fraction
 
 

@@ -97,3 +97,20 @@ def test_subgraph_relabels():
     assert sub.has_edge(0, 1)  # was (0, 2)
     assert sub.has_edge(1, 2)  # was (2, 4)
     assert sub.num_edges == 2
+
+
+def test_from_sorted_rows_matches_edge_by_edge_build():
+    edges = [(0, 2), (2, 4), (1, 3), (0, 4)]
+    built = ContactGraph.from_edges(6, edges)
+    rows = built.neighbor_lists()
+    graph = ContactGraph.from_sorted_rows(rows)
+    assert graph.num_nodes == 6
+    assert graph.num_edges == 4
+    assert graph.neighbor_lists() == rows
+    assert list(graph.edges()) == list(built.edges())
+    assert graph.isolated_nodes() == [5]
+    assert graph.is_reciprocal()
+    # The rows are only a cache: editing the graph re-derives them.
+    graph.add_edge(5, 1)
+    assert graph.neighbors(1) == (3, 5)
+    assert graph.neighbor_lists()[5] == (1,)

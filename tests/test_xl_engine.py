@@ -18,6 +18,7 @@ import pytest
 from repro.core.cache import result_key
 from repro.core.parameters import (
     ENGINES,
+    BlacklistConfig,
     GatewayScanConfig,
     ImmunizationConfig,
     MonitoringConfig,
@@ -38,6 +39,7 @@ from repro.validation.golden import (
     replication_signature,
 )
 from repro.xl import (
+    MAX_ROUNDS,
     UnsupportedFeatureError,
     XL_PRESETS,
     round_width,
@@ -264,3 +266,19 @@ def test_round_width_halves_min_interval_and_is_bounded():
     assert round_width(instant) > 0.0
     tiny = replace(config, duration=1e-3)
     assert round_width(tiny) <= tiny.duration
+
+
+def test_dt_widening_is_recorded_in_the_result():
+    """MAX_ROUNDS widens dt past half the 1-minute send interval only at
+    long horizons, and only then does the result carry ``dt_widened``."""
+    # Blacklisting every sender after one message lets the round loop
+    # skip the dead time, so the 900 h horizon stays cheap.
+    long = baseline_scenario(
+        3, network=NetworkParameters(population=120), duration=900.0
+    ).with_engine("xl").with_responses(BlacklistConfig(threshold=1), suffix="bl")
+    assert round_width(long) == pytest.approx(900.0 / MAX_ROUNDS)
+    assert round_width(long) > long.virus.min_send_interval / 2.0
+    assert run_scenario_xl(long, seed=0).counters["dt_widened"] == 1
+    day = replace(long, duration=24.0)
+    assert round_width(day) == pytest.approx(day.virus.min_send_interval / 2.0)
+    assert "dt_widened" not in run_scenario_xl(day, seed=0).counters
