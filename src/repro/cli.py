@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser = subparsers.add_parser(
         "profile",
         help="run a short instrumented scenario and print a hot-path "
-        "breakdown (per-event-label timings, ev/s, kernel stats)",
+        "breakdown (per-event-label or per-round-phase timings, ev/s)",
     )
     profile_parser.set_defaults(parser=profile_parser)
     profile_parser.add_argument(
@@ -457,15 +457,16 @@ def build_parser() -> argparse.ArgumentParser:
         "xl = per-round phase breakdown on the array engine",
     )
     profile_parser.add_argument(
-        "--preset", choices=sorted(XL_PRESETS), default="xl-10k",
-        help="xl population preset (xl engine only)",
+        "--preset", choices=sorted(XL_PRESETS), default=None,
+        help="population preset; overrides --population (default on "
+        "--engine xl without --population: xl-10k)",
     )
     profile_parser.add_argument("--population", type=population_int, default=None)
     profile_parser.add_argument("--duration", type=positive_float, default=None,
                                 help="override horizon, hours")
     profile_parser.add_argument(
-        "--max-events", type=int, default=None,
-        help="cap the event loop (keeps profiles short)",
+        "--max-events", type=positive_int, default=None,
+        help="cap the core event loop (keeps profiles short; core engine only)",
     )
     profile_parser.add_argument("--seed", type=int, default=0)
     profile_parser.add_argument("--top", type=int, default=10,
@@ -604,12 +605,15 @@ def _command_list() -> int:
     return 0
 
 
-def _run_scenario(args: argparse.Namespace) -> ScenarioConfig:
-    """The scenario ``repro-sim run`` simulates."""
+def _engine_scenario(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario the flags ``run`` and ``profile`` share name: virus,
+    preset or population, duration, engine, Bluetooth and mobility."""
     if args.preset is not None:
         network = xl_network(args.preset)
-    else:
+    elif args.population is not None:
         network = NetworkParameters(population=args.population)
+    else:
+        network = None
     scenario = baseline_scenario(args.virus, network=network, duration=args.duration)
     if args.engine != "core":
         scenario = scenario.with_engine(args.engine)
@@ -626,6 +630,12 @@ def _run_scenario(args: argparse.Namespace) -> ScenarioConfig:
         # ScenarioConfig rejects mobility on the core engine with a
         # pointer at --engine xl.
         scenario = scenario.with_mobility(mobility)
+    return scenario
+
+
+def _run_scenario(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario ``repro-sim run`` simulates."""
+    scenario = _engine_scenario(args)
     response = _build_response(args)
     if response is not None:
         scenario = scenario.with_responses(response, suffix=args.response)
@@ -853,27 +863,18 @@ def _command_scenario(args: argparse.Namespace) -> int:
 
 def _command_profile(args: argparse.Namespace) -> int:
     from .obs.manifest import append_manifest, build_manifest
-    from .obs.profile import run_profile, run_profile_xl
+    from .obs.profile import run_profile
 
+    if args.engine == "xl" and args.preset is None and args.population is None:
+        args.preset = "xl-10k"
     with _scenario_values(args):
-        mobility = _mobility_from_args(args)
-    if args.engine == "xl":
-        report = run_profile_xl(
-            virus=args.virus,
-            preset=args.preset,
-            duration=args.duration,
-            seed=args.seed,
-            bluetooth_rate=args.bluetooth_rate,
-            mobility=mobility,
+        scenario = _engine_scenario(args)
+    if scenario.engine == "xl" and args.max_events is not None:
+        args.parser.error(
+            "--max-events caps the core event loop; shorten an xl profile "
+            "with --duration"
         )
-    else:
-        report = run_profile(
-            virus=args.virus,
-            population=args.population,
-            duration=args.duration,
-            max_events=args.max_events,
-            seed=args.seed,
-        )
+    report = run_profile(scenario, seed=args.seed, max_events=args.max_events)
     print(report.format(top=args.top))
     if args.metrics:
         sections = report.manifest_sections()

@@ -35,7 +35,6 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
 )
 
-from ..obs.metrics import Metrics
 from ..resilience.policy import RetryPolicy, SupervisionReport
 from .parameters import ScenarioConfig
 from .simulation import ReplicationSet, ScenarioResult, run_scenario
@@ -153,32 +152,6 @@ def _run_indexed(job: IndexedJob) -> Tuple[int, ScenarioResult]:
 run_indexed_job = _run_indexed
 
 
-def _run_indexed_timed(
-    job: IndexedJob,
-) -> Tuple[int, ScenarioResult, Dict[str, Any]]:
-    """Like :func:`_run_indexed`, plus a telemetry sidecar.
-
-    The sidecar carries the worker pid, the job's wall time, and a
-    :meth:`~repro.obs.metrics.Metrics.snapshot` of the kernel telemetry —
-    the cross-process channel the scheduler aggregates per-worker event
-    rates from.  The :class:`ScenarioResult` itself stays byte-identical
-    to the untimed path (telemetry never contaminates cached or golden
-    results).
-    """
-    index, config, seed, replication = job
-    metrics = Metrics(enabled=True)
-    start = time.perf_counter()
-    result = run_scenario(
-        config, seed=seed, replication=replication, metrics=metrics
-    )
-    sidecar = {
-        "pid": os.getpid(),
-        "wall_seconds": time.perf_counter() - start,
-        "metrics": metrics.snapshot(),
-    }
-    return index, result, sidecar
-
-
 def task_key(job: IndexedJob) -> str:
     """Human-readable stable identity of one replication task."""
     _, config, seed, replication = job
@@ -193,13 +166,12 @@ class _Batch:
     """One stream's jobs (task id = position) and their ready heap."""
 
     def __init__(self, jobs: List[IndexedJob], faults: Dict[int, Any],
-                 timed: bool, depth: int) -> None:
+                 depth: int) -> None:
         self.jobs = jobs
         self.faults = faults
         self.failures = [0] * len(jobs)
         self.ready = [(0.0, i, i) for i in range(len(jobs))]
         self.seq = self.remaining = len(jobs)
-        self.timed = timed
         self.depth = depth
 
     def requeue(self, task_id: int, delay: float = 0.0) -> None:
@@ -248,13 +220,13 @@ def _worker_main(conn, stamps, slot: int, runner, parent_pid: int) -> None:
             message = conn.recv()
             if message is None:
                 return
-            task_id, attempt, job, fault, timed = message
+            task_id, attempt, job, fault = message
             stamps[base] = time.time()
             stamps[base + 1] = task_id
             try:
                 if fault is not None:
                     fault.apply(attempt)
-                run = runner or (_run_indexed_timed if timed else _run_indexed)
+                run = runner or _run_indexed
                 reply = (task_id, True, run(job))
             except Exception as exc:
                 reply = (task_id, False, f"{type(exc).__name__}: {exc}")
@@ -400,20 +372,6 @@ class WorkerPool:
         directives; ``should_abort`` is polled between waits and ends
         the stream.  ``job_count == 0`` never pays pool startup.
         """
-        yield from self._stream(jobs, job_count, faults, should_abort, False)
-
-    def imap_indexed_timed(
-        self, jobs: Iterable[IndexedJob], job_count: Optional[int] = None,
-        faults: Optional[Dict[int, Any]] = None,
-    ) -> Iterator[Tuple[int, ScenarioResult, Dict[str, Any]]]:
-        """Like :meth:`imap_indexed`, yielding ``(index, result, sidecar)``.
-
-        Each sidecar reports the worker's pid, the job's wall time and a
-        kernel-telemetry snapshot; results match the untimed path.
-        """
-        yield from self._stream(jobs, job_count, faults, None, True)
-
-    def _stream(self, jobs, job_count, faults, should_abort, timed):
         self.report = SupervisionReport()
         jobs = list(jobs) if job_count != 0 else []
         if not jobs:
@@ -421,7 +379,7 @@ class WorkerPool:
         if self.processes > 1:
             self._ensure_pool()
         depth = _MAX_CHUNK if self.route else chunk_size_for(len(jobs), self.processes)
-        batch = self._batch = _Batch(jobs, faults or {}, timed, depth)
+        batch = self._batch = _Batch(jobs, faults or {}, depth)
         try:
             while batch.remaining and self._batch is batch:
                 if should_abort is not None and should_abort():
@@ -475,7 +433,7 @@ class WorkerPool:
                 continue
             worker.outstanding.add(task_id)
             message = (task_id, batch.failures[task_id], job,
-                       batch.faults.get(task_id), batch.timed)
+                       batch.faults.get(task_id))
             with suppress(OSError):  # a dead worker: _lost() re-queues it
                 worker.conn.send(message)
         for entry in blocked:
@@ -547,7 +505,7 @@ class WorkerPool:
         time.sleep(max(0.0, eligible_at - time.monotonic()))
         if self.runner is not None and self._inline_runner is None:
             self._inline_runner = self.runner(None, 0)
-        run = self._inline_runner or (_run_indexed_timed if batch.timed else _run_indexed)
+        run = self._inline_runner or _run_indexed
         if self.processes > 1:
             self.report.inline += 1
         fault = batch.faults.get(task_id)

@@ -115,7 +115,8 @@ def run_scenario(
     array-backed engine in :mod:`repro.xl`; results come back through
     the same :class:`ScenarioResult`, so caching, aggregation, and
     serialization are engine-agnostic.  The xl engine has no per-event
-    kernel, so ``tracer`` is rejected there and ``metrics`` is ignored.
+    kernel, so ``tracer`` is rejected there; ``metrics`` passes through
+    (with ``time_events`` it times each round phase instead).
     """
     if config.engine == "xl":
         if tracer is not None:

@@ -6,8 +6,8 @@ thin delegate that compiles the corresponding
 :mod:`repro.design.library` — the factor grids now live there as
 ~20-line designs instead of hand-written series loops.  The factory
 names (and :data:`PAPER_PLATEAU`) are kept as the stable public API;
-``tests/legacy_figures.py`` freezes the pre-DSL builders and the
-equivalence suite proves these delegates reproduce them job-for-job.
+the equivalence suite proves these delegates reproduce the pre-DSL
+builders job-for-job against a fixture recorded from them.
 """
 
 from __future__ import annotations

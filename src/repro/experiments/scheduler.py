@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -62,7 +63,7 @@ from ..core.parallel import (
     projected_speedup,
 )
 from ..core.parameters import ScenarioConfig
-from ..core.simulation import ReplicationSet, ScenarioResult
+from ..core.simulation import ReplicationSet, ScenarioResult, run_scenario
 from ..obs.metrics import NULL_METRICS, Metrics
 from ..resilience.checkpoint import CampaignCheckpoint
 from ..resilience.policy import FailureEvent, RetryPolicy, SupervisionReport
@@ -72,6 +73,40 @@ from .spec import ExperimentResult, ExperimentSpec
 #: Prior for one replication's runtime before any batch has calibrated
 #: the estimate — roughly one small-population figure replication.
 DEFAULT_JOB_SECONDS = 0.05
+
+
+def _run_with_telemetry(
+    job: IndexedJob,
+) -> Tuple[int, ScenarioResult, Dict[str, Any]]:
+    """One indexed replication plus a telemetry sidecar.
+
+    The sidecar carries the worker pid, the job's wall time, and a
+    :meth:`~repro.obs.metrics.Metrics.snapshot` of the job's registry —
+    the cross-process channel the scheduler aggregates per-worker event
+    rates from.  The :class:`ScenarioResult` itself is byte-identical to
+    an untimed run (telemetry never contaminates cached or golden
+    results).
+    """
+    index, config, seed, replication = job
+    metrics = Metrics(enabled=True)
+    start = time.perf_counter()
+    result = run_scenario(
+        config, seed=seed, replication=replication, metrics=metrics
+    )
+    sidecar = {
+        "pid": os.getpid(),
+        "wall_seconds": time.perf_counter() - start,
+        "metrics": metrics.snapshot(),
+    }
+    return index, result, sidecar
+
+
+def telemetry_runner(slot: Optional[int], respawns: int) -> Callable:
+    """:class:`~repro.core.parallel.WorkerPool` ``runner`` hook of a
+    telemetry-on scheduler: every worker (and the inline path) yields
+    ``(index, result, sidecar)``.  Module-level, so the job function
+    pickles under ``spawn``."""
+    return _run_with_telemetry
 
 
 @dataclass
@@ -207,7 +242,16 @@ class ReplicationScheduler:
             raise ValueError(f"processes must be >= 1, got {processes}")
         self.processes = processes
         self.cache = cache
-        self._pool = pool if pool is not None else WorkerPool(processes)
+        #: Telemetry registry.  With the default NULL_METRICS every batch
+        #: runs the plain pool job; an enabled registry gives the pools
+        #: :func:`telemetry_runner`, collecting per-batch wall times,
+        #: per-worker event rates and aggregated kernel stats (see
+        #: :meth:`telemetry`).
+        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self._runner = telemetry_runner if self.metrics.enabled else None
+        self._pool = (
+            pool if pool is not None else WorkerPool(processes, runner=self._runner)
+        )
         self._owns_pool = pool is None
         #: When True, each batch is cost-modelled before dispatch and runs
         #: inline when the pool is projected to lose to serial (small
@@ -239,11 +283,6 @@ class ReplicationScheduler:
         self.degraded_to_serial = False
         #: Aggregated resume reconciliation (see CampaignCheckpoint).
         self._resume_totals: Optional[Dict[str, int]] = None
-        #: Telemetry registry.  With the default NULL_METRICS every batch
-        #: runs the exact pre-telemetry dispatch path; pass an enabled
-        #: registry to collect per-batch wall times, per-worker event
-        #: rates, and aggregated kernel stats (see :meth:`telemetry`).
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self._batches: List[Dict[str, Any]] = []
         self._worker_stats: Dict[int, Dict[str, float]] = {}
         self._seeds: set = set()
@@ -414,7 +453,7 @@ class ReplicationScheduler:
         if not degrade:
             return self._pool
         if self._inline_pool is None:
-            self._inline_pool = WorkerPool(1)
+            self._inline_pool = WorkerPool(1, runner=self._runner)
         return self._inline_pool
 
     def _note_cached_batch(self) -> None:
@@ -450,10 +489,6 @@ class ReplicationScheduler:
             }
         )
         self.metrics.inc(f"scheduler.dispatch.{mode}")
-
-    def _note_job_seconds(self, executed: int, workers: int, wall: float) -> None:
-        """Fold one batch's measured wall time into the shared estimator."""
-        self.job_seconds.note(executed, workers, wall)
 
     def run_jobs(
         self, jobs: Sequence[ReplicationJob]
@@ -494,13 +529,12 @@ class ReplicationScheduler:
             )
 
         cache_hits = len(jobs) - len(pending)
-        collect = self.metrics.enabled
-        batch_start = time.perf_counter() if collect else 0.0
+        batch_start = time.perf_counter()
+        workers = 0
         if pending:
             pool = self._plan_dispatch(len(pending))
             if self._owns_pool:
                 pool.policy = self.resilience  # read per batch, like the plan
-            dispatch_start = time.perf_counter()
             indexed: Iterator[IndexedJob] = (
                 (index, job.config, job.seed, job.replication)
                 for index, job in pending
@@ -508,39 +542,31 @@ class ReplicationScheduler:
             # Only a fault plan adds the ``faults`` keyword, so injected
             # duck-typed pools keep the plain two-argument call.
             extra = {} if self.fault_plan is None else {"faults": self.fault_plan.specs}
-            if collect:
-                for index, result, sidecar in pool.imap_indexed_timed(
-                    indexed, job_count=len(pending), **extra
-                ):
-                    results[index] = result
-                    self._absorb_sidecar(sidecar)
-                    self._cache_put(result)
-                    self._record_completion(jobs[index])
-            else:
-                for index, result in pool.imap_indexed(
-                    indexed, job_count=len(pending), **extra
-                ):
-                    results[index] = result
-                    self._cache_put(result)
-                    self._record_completion(jobs[index])
+            # Pools running telemetry_runner append a sidecar.
+            for index, result, *sidecar in pool.imap_indexed(
+                indexed, job_count=len(pending), **extra
+            ):
+                results[index] = result
+                if sidecar:
+                    self._absorb_sidecar(result, *sidecar)
+                self._cache_put(result)
+                self._record_completion(jobs[index])
             if self.resilience is not None:
                 self._absorb_report(pool.report, pending)
-            self._note_job_seconds(
-                len(pending),
-                effective_parallelism(pool.processes, len(pending)),
-                time.perf_counter() - dispatch_start,
-            )
+            workers = effective_parallelism(pool.processes, len(pending))
         elif jobs:
             # Every job was a cache hit: skip dispatch planning entirely
             # (zero pool startups) but keep the decision trail complete.
             self._note_cached_batch()
+        batch_seconds = time.perf_counter() - batch_start
+        self.job_seconds.note(len(pending), workers, batch_seconds)
         self.stats.add(
             scheduled=len(jobs), executed=len(pending), cache_hits=cache_hits
         )
         if self.checkpoint is not None:
             self.checkpoint.flush()
-        if collect:
-            self._note_batch(jobs, len(pending), time.perf_counter() - batch_start)
+        if self.metrics.enabled:
+            self._note_batch(jobs, len(pending), batch_seconds)
         if len(self.quarantined) > quarantined_before:
             # Partial completion: quarantined slots legitimately stay None.
             return results
@@ -548,10 +574,15 @@ class ReplicationScheduler:
 
     # -- telemetry ----------------------------------------------------------
 
-    def _absorb_sidecar(self, sidecar: Mapping[str, Any]) -> None:
-        """Fold one worker's per-job telemetry into the aggregates."""
-        snapshot = sidecar.get("metrics", {})
-        self.metrics.merge(snapshot)
+    def _absorb_sidecar(
+        self, result: ScenarioResult, sidecar: Mapping[str, Any]
+    ) -> None:
+        """Fold one worker's per-job telemetry into the aggregates.
+
+        Events come from the result's ``events_fired`` counter, which
+        both engines carry.
+        """
+        self.metrics.merge(sidecar.get("metrics", {}))
         pid = int(sidecar.get("pid", 0))
         entry = self._worker_stats.get(pid)
         if entry is None:
@@ -562,9 +593,7 @@ class ReplicationScheduler:
             }
         entry["jobs"] += 1
         entry["busy_seconds"] += float(sidecar.get("wall_seconds", 0.0))
-        entry["events"] += int(
-            snapshot.get("counters", {}).get("des.events_fired", 0)
-        )
+        entry["events"] += int(result.counters.get("events_fired", 0))
 
     def _note_batch(
         self, jobs: Sequence[ReplicationJob], executed: int, wall: float
@@ -690,7 +719,7 @@ class ReplicationScheduler:
         executed / cache-hit counts in :attr:`stats` are always live).
         """
         wall = sum(b["wall_seconds"] for b in self._batches)
-        events = self.metrics.counter_value("des.events_fired")
+        events = sum(int(entry["events"]) for entry in self._worker_stats.values())
         workers = [
             {
                 "pid": pid,
@@ -891,4 +920,5 @@ __all__ = [
     "SchedulerStats",
     "flatten_experiment",
     "reassemble",
+    "telemetry_runner",
 ]

@@ -22,9 +22,7 @@ Naming convention: dotted lowercase paths, subsystem first —
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 
 class Counter:
@@ -99,9 +97,11 @@ class Metrics:
     """Registry of named counters, gauges, and timers.
 
     ``enabled=False`` turns every record method into a boolean check and
-    keeps the registry empty; ``time_events=True`` additionally opts the
-    DES kernel into per-event-label timing (profiling mode — meaningful
-    per-event overhead, so it is a separate knob from ``enabled``).
+    keeps the registry empty; ``time_events=True`` additionally opts an
+    engine into timing each unit of work — one ``event.<label>`` timer
+    per DES event label on the core engine, one ``xl.phase.<name>``
+    timer per round phase on the xl engine (profiling mode — meaningful
+    per-unit overhead, so it is a separate knob from ``enabled``).
     """
 
     __slots__ = ("enabled", "time_events", "_counters", "_gauges", "_timers")
@@ -161,18 +161,6 @@ class Metrics:
         if not self.enabled:
             return
         self.timer(name).observe(seconds)
-
-    @contextmanager
-    def timeit(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block on timer ``name`` (cheap when disabled)."""
-        if not self.enabled:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.timer(name).observe(time.perf_counter() - start)
 
     # -- introspection / aggregation ------------------------------------------
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from ..core.parameters import (
 )
 from ..core.simulation import ScenarioResult
 from ..des.random import StreamFactory
-from ..obs.metrics import Metrics
+from ..obs.metrics import NULL_METRICS, Metrics, Timer
 from ..topology.csr import CSRAdjacency, csr_powerlaw
 from ..topology.generators import contact_network
 from ..topology.graph import ContactGraph
@@ -77,6 +77,18 @@ _EPS = 1e-9
 
 class UnsupportedFeatureError(ValueError):
     """A scenario feature the xl engine does not implement."""
+
+
+def _timed(timer: Timer, step: Callable[..., Any]) -> Callable[..., Any]:
+    """``step`` wrapped to record each call's wall time on ``timer``."""
+
+    def call(*args: Any) -> Any:
+        start = perf_counter()
+        result = step(*args)
+        timer.observe(perf_counter() - start)
+        return result
+
+    return call
 
 
 def round_width(config: ScenarioConfig) -> float:
@@ -118,7 +130,7 @@ class XLEngine:
         config: ScenarioConfig,
         streams: StreamFactory,
         graph: Optional[ContactGraph] = None,
-        profile_phases: bool = False,
+        metrics: Metrics = NULL_METRICS,
     ) -> None:
         virus = config.virus
         network = config.network
@@ -326,10 +338,9 @@ class XLEngine:
         self._send_ids = np.empty(0, dtype=np.int64)
         self._reboot_ids = np.empty(0, dtype=np.int64)
 
-        #: Per-phase wall time, populated only under ``profile_phases``
-        #: (the plain :meth:`run` loop never touches the clock).
-        self.phase_seconds: Dict[str, float] = {}
-        self._profile_phases = profile_phases
+        #: Telemetry registry; ``metrics.time_events`` times each round
+        #: phase (see :meth:`run`).
+        self.metrics = metrics
 
         self.counters: Dict[str, int] = {
             "messages_sent": 0,
@@ -377,37 +388,30 @@ class XLEngine:
         """Advance batched rounds to the scenario horizon.
 
         Each round runs the phases of :meth:`_round_phases` in order, then
-        schedules the next round.  Under ``profile_phases`` every phase
-        (and the scheduling step, as ``round_scheduling``) is bracketed
-        with ``perf_counter`` and folded into :attr:`phase_seconds`; the
-        plain loop never touches the clock.
+        schedules the next round.  When ``metrics.time_events`` is set,
+        every phase (and the scheduling step, as ``round_scheduling``) is
+        timed into the registry timer ``xl.phase.<name>``; otherwise the
+        loop never touches the clock.
         """
         if self.patient_zero is None:
             raise RuntimeError("seed_infection must run before run()")
         phases = self._round_phases()
-        timed = self.phase_seconds if self._profile_phases else None
-        if timed is not None:
-            for name, _ in phases:
-                timed.setdefault(name, 0.0)
-            timed.setdefault("round_scheduling", 0.0)
+        next_round = self._next_round
+        if self.metrics.time_events:
+            timer = self.metrics.timer
+            phases = [
+                (name, _timed(timer("xl.phase." + name), phase))
+                for name, phase in phases
+            ]
+            next_round = _timed(timer("xl.phase.round_scheduling"), next_round)
         n_rounds = max(1, int(math.ceil(self.duration / self.dt)))
         k = 0
         while k < n_rounds:
             t_end = min((k + 1) * self.dt, self.duration)
             self.counters["xl_rounds"] += 1
-            for name, phase in phases:
-                if timed is None:
-                    phase(t_end, k)
-                else:
-                    mark = perf_counter()
-                    phase(t_end, k)
-                    timed[name] += perf_counter() - mark
-            if timed is None:
-                k = self._next_round(k, n_rounds)
-            else:
-                mark = perf_counter()
-                k = self._next_round(k, n_rounds)
-                timed["round_scheduling"] += perf_counter() - mark
+            for _, phase in phases:
+                phase(t_end, k)
+            k = next_round(k, n_rounds)
         return self.duration
 
     def _round_phases(self) -> List[Tuple[str, Callable[[float, int], None]]]:
@@ -1121,11 +1125,15 @@ def run_scenario_xl(
     dispatches here for ``engine="xl"``): seeded stream factory per
     ``(seed, replication)``, optional pinned ``graph`` / ``patient_zero``,
     and a :class:`ScenarioResult` that serializes, caches, and aggregates
-    exactly like a core-engine result.  ``metrics`` is accepted for
-    scheduler compatibility; the xl engine records no kernel telemetry.
+    exactly like a core-engine result.  ``metrics`` reaches the engine:
+    with ``time_events`` set it times each round phase (see
+    :meth:`XLEngine.run`).
     """
     streams = StreamFactory(seed).replication(replication)
-    engine = XLEngine(config, streams, graph=graph)
+    engine = XLEngine(
+        config, streams, graph=graph,
+        metrics=metrics if metrics is not None else NULL_METRICS,
+    )
     engine.seed_infection(patient_zero)
     final_time = engine.run()
     counters = dict(engine.counters)

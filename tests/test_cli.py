@@ -161,6 +161,40 @@ def test_rejected_scenario_values_exit_2_with_usage(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # --bluetooth-rate reaches the core engine's proximity channel.
+        (["--virus", "3", "--population", "150", "--max-events", "3000",
+          "--bluetooth-rate", "2"],
+         ["virus3-baseline-bt", "core engine, N=150", "events: 3000",
+          "bt_encounter"]),
+        # --population reaches the xl engine.
+        (["--engine", "xl", "--virus", "3", "--population", "300",
+          "--duration", "6"],
+         ["xl engine, N=300", "round phase"]),
+        # --preset reaches the core engine.
+        (["--virus", "3", "--preset", "paper", "--max-events", "500"],
+         ["core engine, N=1000", "events: 500"]),
+    ],
+)
+def test_profile_honours_flags_on_both_engines(argv, expected, capsys):
+    assert main(["profile"] + argv) == 0
+    out = capsys.readouterr().out
+    for text in expected:
+        assert text in out
+
+
+def test_profile_max_events_on_xl_exits_2_with_usage(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["profile", "--engine", "xl", "--preset", "paper",
+              "--max-events", "100"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: repro-sim profile" in err
+    assert "--max-events" in err
+
+
+@pytest.mark.parametrize(
     "flag, value", [("--shards", "0"), ("--heartbeat-timeout", "0")]
 )
 def test_serve_bad_counts_exit_2_with_usage(flag, value, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cli import build_parser, main
 
 
@@ -98,6 +100,30 @@ class TestMetricsFlag:
         assert record["events_per_second"] > 0
         assert record["workers"]
 
+    @pytest.mark.parametrize("engine", ["core", "xl"])
+    def test_manifest_counts_events_on_both_engines(self, engine, tmp_path):
+        # Regression: an xl run once reported zero events, because the
+        # count came from the DES kernel's own registry counter.
+        from repro.core.parameters import NetworkParameters
+        from repro.core.scenarios import baseline_scenario
+        from repro.core.simulation import replicate_scenario
+        from repro.obs.manifest import read_manifests
+
+        path = tmp_path / "run.jsonl"
+        argv = self.BASE + ["--engine", engine, "--metrics", str(path)]
+        assert main(argv) == 0
+        (record,) = read_manifests(path)
+        config = baseline_scenario(
+            3, network=NetworkParameters(population=120), duration=4.0
+        ).with_engine(engine)
+        results = replicate_scenario(config, replications=2, seed=0).results
+        events = sum(r.counters["events_fired"] for r in results)
+        assert events > 0
+        assert record["events_executed"] == events
+        assert record["kernel"]["events_fired"] == events
+        assert sum(w["events"] for w in record["workers"]) == events
+        assert record["events_per_second"] > 0
+
     def test_repeat_runs_append(self, tmp_path):
         from repro.obs.manifest import read_manifests
 
@@ -133,14 +159,21 @@ class TestProfileCommand:
         (record,) = read_manifests(path)
         assert validate_manifest(record) == []
         assert record["kind"] == "profile"
-        assert record["extra"]["hotspots"]
+        rows = record["extra"]["breakdown"]
+        assert "send" in {row["name"] for row in rows}
+        totals = [row["total_seconds"] for row in rows]
+        assert totals == sorted(totals, reverse=True)
+        assert sum(row["share"] for row in rows) == pytest.approx(1.0, abs=0.01)
 
 
 class TestProfileXLCommand:
-    def test_parser_defaults(self):
+    def test_parser_defaults(self, capsys):
         args = build_parser().parse_args(["profile"])
         assert args.engine == "core"
-        assert args.preset == "xl-10k"
+        assert args.preset is None
+        # Without --preset or --population an xl profile runs xl-10k.
+        assert main(["profile", "--engine", "xl", "--duration", "1"]) == 0
+        assert "xl engine, N=10000" in capsys.readouterr().out
 
     def test_xl_profile_prints_phase_breakdown(self, capsys):
         assert main(
@@ -148,7 +181,7 @@ class TestProfileXLCommand:
              "--duration", "48", "--seed", "1"]
         ) == 0
         out = capsys.readouterr().out
-        assert "xl engine, preset paper" in out
+        assert "xl engine, N=1000" in out
         assert "round phase" in out
 
     def test_xl_profile_manifest(self, tmp_path, capsys):
@@ -162,7 +195,11 @@ class TestProfileXLCommand:
         (record,) = read_manifests(path)
         assert validate_manifest(record) == []
         assert record["extra"]["engine"] == "xl"
-        assert record["extra"]["phases"]
+        rows = record["extra"]["breakdown"]
+        assert {row["name"] for row in rows} >= {"sends", "round_scheduling"}
+        totals = [row["total_seconds"] for row in rows]
+        assert totals == sorted(totals, reverse=True)
+        assert sum(row["share"] for row in rows) == pytest.approx(1.0, abs=0.01)
 
 
 class TestAutoDegradeFlag:

@@ -15,7 +15,10 @@ from repro.core.parallel import (
     default_process_count,
     replicate_scenario_parallel,
 )
+from repro.core.serialization import result_to_dict
 from repro.core.simulation import replicate_scenario
+from repro.experiments.scheduler import telemetry_runner
+from repro.xl.presets import xl_scenario
 
 
 def test_serial_fallback_matches_reference(small_scenario):
@@ -143,41 +146,44 @@ def test_dead_worker_fails_fast_instead_of_hanging(small_scenario):
 
 
 class TestTimedDispatch:
+    """The telemetry sidecar rides the pool's ``runner`` hook."""
+
     def test_serial_sidecars(self, small_scenario):
         jobs = [(i, small_scenario, 3, i) for i in range(2)]
-        with WorkerPool(processes=1) as pool:
-            completions = list(pool.imap_indexed_timed(iter(jobs), job_count=2))
+        with WorkerPool(processes=1, runner=telemetry_runner) as pool:
+            completions = list(pool.imap_indexed(iter(jobs), job_count=2))
         assert sorted(c[0] for c in completions) == [0, 1]
         for _, result, sidecar in completions:
             assert sidecar["pid"] == os.getpid()
             assert sidecar["wall_seconds"] > 0
             counters = sidecar["metrics"]["counters"]
-            assert counters["des.events_fired"] > 0
+            assert counters["des.events_fired"] == result.counters["events_fired"]
 
     def test_results_identical_to_untimed(self, small_scenario):
-        jobs = [(i, small_scenario, 7, i) for i in range(3)]
-        with WorkerPool(processes=1) as pool:
-            untimed = dict(pool.imap_indexed(iter(jobs), job_count=3))
-        with WorkerPool(processes=2) as pool:
-            timed = {
-                index: result
-                for index, result, _ in pool.imap_indexed_timed(
-                    iter(jobs), job_count=3
-                )
-            }
-        assert set(timed) == set(untimed)
-        for index in untimed:
-            assert timed[index].counters == untimed[index].counters
-            assert (
-                timed[index].infection_times == untimed[index].infection_times
-            )
+        xl_config = xl_scenario(3, "paper", duration=12.0)
+        for config in (small_scenario, xl_config):
+            jobs = [(i, config, 7, i) for i in range(3)]
+            with WorkerPool(processes=1) as pool:
+                untimed = dict(pool.imap_indexed(iter(jobs), job_count=3))
+            with WorkerPool(processes=2, runner=telemetry_runner) as pool:
+                timed = {
+                    index: result
+                    for index, result, _ in pool.imap_indexed(
+                        iter(jobs), job_count=3
+                    )
+                }
+            assert set(timed) == set(untimed)
+            for index in untimed:
+                assert result_to_dict(timed[index]) == result_to_dict(
+                    untimed[index]
+                ), config.name
 
     def test_parallel_sidecars_report_worker_pids(self, small_scenario):
         jobs = [(i, small_scenario, 1, i) for i in range(3)]
-        with WorkerPool(processes=2) as pool:
+        with WorkerPool(processes=2, runner=telemetry_runner) as pool:
             sidecars = [
                 sidecar
-                for _, _, sidecar in pool.imap_indexed_timed(
+                for _, _, sidecar in pool.imap_indexed(
                     iter(jobs), job_count=3
                 )
             ]

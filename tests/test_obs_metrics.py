@@ -60,14 +60,6 @@ class TestRegistry:
         assert metrics.timer("y") is metrics.timer("y")
         assert metrics.gauge("z") is metrics.gauge("z")
 
-    def test_timeit_context(self):
-        metrics = Metrics()
-        with metrics.timeit("block"):
-            pass
-        timer = metrics.timer("block")
-        assert timer.count == 1
-        assert timer.total >= 0.0
-
     def test_unknown_names_read_as_zero(self):
         metrics = Metrics()
         assert metrics.counter_value("nope") == 0
@@ -88,8 +80,6 @@ class TestDisabledPath:
         metrics.set_gauge("g", 1.0)
         metrics.gauge_max("g", 2.0)
         metrics.observe("t", 0.5)
-        with metrics.timeit("block"):
-            pass
         assert len(metrics) == 0
         assert metrics.snapshot() == {"counters": {}, "gauges": {}, "timers": {}}
 

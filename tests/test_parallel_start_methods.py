@@ -6,12 +6,15 @@ method: ``fork`` inherits the parent's module state while ``spawn``
 re-imports everything in a fresh interpreter, so any hidden global (a
 module-level RNG, a mutated default, an import-order effect) breaks one
 but not the other.  The serialized result documents are compared field
-by field — bit-identical, not statistically close.
+by field — bit-identical, not statistically close.  A telemetry-on
+scheduler runs its jobs through the pool's ``runner`` hook, which must
+pickle under ``spawn`` and leave the results untouched.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 
 import pytest
 
@@ -29,6 +32,8 @@ from repro.core.parallel import (
 )
 from repro.core.serialization import result_to_dict
 from repro.core.simulation import replicate_scenario
+from repro.experiments.scheduler import ReplicationScheduler
+from repro.obs.metrics import Metrics
 
 REPLICATIONS = 3
 SEED = 13
@@ -71,6 +76,33 @@ def test_parallel_matches_serial_bit_identically(
     )
     assert [result_to_dict(r) for r in parallel.results] == _serial_documents(
         quick_scenario
+    )
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_telemetry_scheduler_matches_serial_bit_identically(
+    method, quick_scenario, monkeypatch
+):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method!r} unavailable on this platform")
+    monkeypatch.setenv(START_METHOD_ENV, method)
+
+    metrics = Metrics(enabled=True)
+    with ReplicationScheduler(
+        processes=2, metrics=metrics, auto_degrade=False
+    ) as scheduler:
+        parallel = scheduler.replicate(
+            quick_scenario, replications=REPLICATIONS, seed=SEED
+        )
+        telemetry = scheduler.telemetry()
+    assert [result_to_dict(r) for r in parallel.results] == _serial_documents(
+        quick_scenario
+    )
+    # Every job came back with a sidecar from a worker process.
+    assert sum(w["jobs"] for w in telemetry["workers"]) == REPLICATIONS
+    assert all(w["pid"] != os.getpid() for w in telemetry["workers"])
+    assert telemetry["events_executed"] == sum(
+        r.counters["events_fired"] for r in parallel.results
     )
 
 

@@ -5,7 +5,9 @@ cheap" but "telemetry off is *zero* registry traffic": with metrics and
 tracing disabled the simulator must select the plain loop kernel once per
 run and never touch the :class:`~repro.obs.metrics.Metrics` registry
 again — not even enabled-check no-op calls.  A counting stub makes that
-claim a test instead of an eyeball estimate.
+claim a test instead of an eyeball estimate.  The xl engine makes the
+same promise for its round loop: without ``time_events`` it never reads
+the clock or the registry.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from repro.core.model import PhoneNetworkModel
 from repro.core.scenarios import baseline_scenario
 from repro.des.random import StreamFactory
 from repro.obs.metrics import Metrics
+from repro.xl.engine import XLEngine
+from repro.xl.presets import xl_scenario
 
 
 class CountingMetrics(Metrics):
@@ -51,10 +55,6 @@ class CountingMetrics(Metrics):
         self.calls += 1
         super().observe(name, seconds)
 
-    def timeit(self, name):
-        self.calls += 1
-        return super().timeit(name)
-
 
 class TestDisabledTelemetryZeroCost:
     def test_obs_off_fig1_run_makes_zero_registry_calls(self):
@@ -86,3 +86,16 @@ class TestDisabledTelemetryZeroCost:
 
         assert registry.calls > 0
         assert registry.counter_value("des.events_fired") == model.sim.events_fired
+
+    def test_obs_off_xl_run_makes_zero_registry_calls(self):
+        config = xl_scenario(3, "paper", duration=24.0)
+        registry = CountingMetrics()
+        engine = XLEngine(
+            config, StreamFactory(0).replication(0), metrics=registry
+        )
+        engine.seed_infection()
+        engine.run()
+
+        assert engine.counters["events_fired"] > 100
+        assert registry.calls == 0
+        assert len(registry) == 0

@@ -352,9 +352,6 @@ class _InterruptingPool:
     def imap_indexed(self, jobs, job_count=None):
         raise KeyboardInterrupt
 
-    def imap_indexed_timed(self, jobs, job_count=None):
-        raise KeyboardInterrupt
-
     def close(self):
         self.closed = True
 
@@ -522,7 +519,6 @@ class TestFullyCachedBatch:
         pool = WorkerPool(4)
         try:
             assert list(pool.imap_indexed([], job_count=0)) == []
-            assert list(pool.imap_indexed_timed([], job_count=0)) == []
             assert not pool.started
         finally:
             pool.close()
