@@ -18,10 +18,10 @@ import os
 
 import pytest
 
+from repro.design.library import get_experiment
 from repro.experiments import (
     ExperimentResult,
     format_experiment_report,
-    get_experiment,
     run_experiment,
 )
 

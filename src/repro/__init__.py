@@ -17,7 +17,10 @@ Subpackages
 ``repro.analysis``
     Infection-curve analysis, replication statistics, text reports.
 ``repro.experiments``
-    One experiment definition per paper table/figure, plus the runner.
+    Experiment specs, the one job planner, the scheduler and the runner.
+``repro.design``
+    Declarative designs; its library is the registry of every paper
+    table/figure.
 
 Quick start::
 

@@ -31,8 +31,8 @@ Commands
 ``design run fig4 --processes 4``
     Work with declarative experiment designs (``repro.design``): show
     the factor grid of a registry experiment or a TOML/JSON design
-    file, compile it to the deduplicated job list, or run it through
-    the cache-aware compiled path.
+    file, compile it to the deduplicated job list, or run it (the same
+    planner ``figure`` uses).
 ``repro-sim serve --spool spool/`` / ``submit my_design.toml`` /
 ``status``
     Campaign service (``repro.service``): run the always-on daemon,
@@ -69,10 +69,9 @@ from .core.simulation import replicate_scenario
 from .des.random import StreamFactory
 from .experiments import (
     ReplicationScheduler,
-    experiment_ids,
     export_csv,
     format_experiment_report,
-    get_experiment,
+    plan_experiment,
 )
 from .topology.contact_lists import write_contact_lists
 from .topology.generators import contact_network
@@ -513,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     design_compile.add_argument("--replications", type=positive_int, default=None)
     design_compile.add_argument("--seed", type=int, default=0)
     design_run = design_sub.add_parser(
-        "run", help="run a design through the cache-deduplicated compiled path"
+        "run", help="run a design (the same deduplicated plan as 'figure')"
     )
     design_run.add_argument("spec", help=spec_help)
     design_run.add_argument("--replications", type=positive_int, default=None)
@@ -597,6 +596,8 @@ def _build_response(args: argparse.Namespace) -> Optional[ResponseConfig]:
 
 
 def _command_list() -> int:
+    from .design.library import experiment_ids, get_experiment
+
     rows = []
     for experiment_id in experiment_ids():
         spec = get_experiment(experiment_id)
@@ -759,6 +760,8 @@ def _per_figure_path(template: str, experiment_id: str, multiple: bool) -> Path:
 
 
 def _command_figure(args: argparse.Namespace) -> int:
+    from .design.library import get_experiment
+
     try:
         specs = [get_experiment(eid) for eid in args.experiment_ids]
     except KeyError as exc:
@@ -889,34 +892,43 @@ def _command_profile(args: argparse.Namespace) -> int:
 def _resolve_design(spec: str):
     """A design from a registry id or a ``.toml``/``.json`` file path."""
     from .design import load_design
-    from .experiments.registry import get_design
+    from .design.library import get_design
 
     if spec.lower().endswith((".toml", ".json")) or Path(spec).is_file():
         return load_design(spec)
     return get_design(spec)
 
 
+def _factor_lines(design) -> List[str]:
+    """One line per design factor, plus the Latin-square subsample."""
+    lines = [
+        f"factor {factor.name} ({factor.size}): "
+        + ", ".join(level.label or "<none>" for level in factor.levels)
+        for factor in design.design.factors()
+    ]
+    if design.subsample_seed is not None:
+        lines.append(
+            f"latin-square subsample: seed {design.subsample_seed}, "
+            f"{design.design.size} of {design.design.inner.size} grid points"
+        )
+    return lines
+
+
 def _command_design(args: argparse.Namespace) -> int:
-    from .design import DesignError, compile_design
+    from .design import DesignError
 
     try:
         design = _resolve_design(args.spec)
+        spec = design.to_spec()
     except (KeyError, OSError, DesignError) as exc:
         print(exc, file=sys.stderr)
         return 2
 
     if args.design_command == "show":
-        spec = design.to_spec()
         print(f"design {design.experiment_id}: {design.title}")
         print(f"paper artifact: {design.paper_ref}")
-        for factor in design.design.factors():
-            labels = ", ".join(level.label or "<none>" for level in factor.levels)
-            print(f"factor {factor.name} ({factor.size}): {labels}")
-        if design.subsample_seed is not None:
-            print(
-                f"latin-square subsample: seed {design.subsample_seed}, "
-                f"{design.design.size} of {design.design.inner.size} grid points"
-            )
+        for line in _factor_lines(design):
+            print(line)
         print(f"series ({len(spec.series)}):")
         for series in spec.series:
             print(f"  {series.label}: {series.scenario.name}")
@@ -925,22 +937,27 @@ def _command_design(args: argparse.Namespace) -> int:
         print(f"shape checks: {len(spec.shape_checks)}")
         return 0
 
-    try:
-        compiled = compile_design(
-            design, replications=args.replications, seed=args.seed
-        )
-    except (ValueError, DesignError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
     if args.design_command == "compile":
-        print(compiled.format())
+        plan = plan_experiment(spec, replications=args.replications, seed=args.seed)
+        print(
+            f"design {design.experiment_id}: {len(plan.spec.series)} series × "
+            f"{plan.replications} replication(s) (seed {plan.seed})"
+        )
+        for line in _factor_lines(design):
+            print("  " + line)
+        print(
+            f"  jobs: {plan.requested_jobs} requested → {plan.unique_jobs} "
+            f"unique after dedup (ratio {plan.dedup_ratio})"
+        )
         return 0
 
     label = f"design:{design.experiment_id}"
     with _make_scheduler(args, label=label) as scheduler:
-        result = scheduler.run_compiled(compiled)
+        result = scheduler.run_experiment(
+            spec, replications=args.replications, seed=args.seed
+        )
         stats_line = scheduler.stats.format()
+    record = scheduler.design_sections[-1]
     _write_cli_manifest(args, scheduler, label=label)
     _report_resume(scheduler)
     print(format_experiment_report(result, chart=not args.no_chart))
@@ -948,8 +965,8 @@ def _command_design(args: argparse.Namespace) -> int:
         path = export_csv(result, args.csv)
         print(f"\nmean curves written to {path}")
     print(
-        f"jobs: {compiled.requested_jobs} requested → {compiled.unique_jobs} "
-        f"unique (dedup ratio {compiled.dedup_ratio})"
+        f"jobs: {record['requested_jobs']} requested → {record['unique_jobs']} "
+        f"unique (dedup ratio {record['dedup_ratio']})"
     )
     print(f"scheduler: {stats_line}")
     failure_code = _report_failures(scheduler)

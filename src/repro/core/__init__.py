@@ -56,7 +56,7 @@ from .scenarios import (
     virus_parameters,
 )
 from .cache import CACHE_SCHEMA_VERSION, ResultCache, result_key
-from .parallel import default_process_count, replicate_scenario_parallel
+from .parallel import default_process_count
 from .serialization import (
     SerializationError,
     load_scenario,
@@ -121,7 +121,6 @@ __all__ = [
     "VIRUS_HORIZONS",
     "run_scenario",
     "replicate_scenario",
-    "replicate_scenario_parallel",
     "default_process_count",
     "ScenarioResult",
     "ReplicationSet",

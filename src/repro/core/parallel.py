@@ -7,7 +7,7 @@ module-level callable taking only picklable arguments (the scenario
 dataclasses are plain frozen dataclasses, so they pickle cleanly), which
 makes every start method — including ``spawn`` — safe.
 
-Three layers:
+Two layers:
 
 * :func:`mp_context` picks the multiprocessing start method explicitly
   (``fork`` where available for cheap startup, ``spawn`` otherwise;
@@ -16,10 +16,12 @@ Three layers:
 * :class:`WorkerPool` is the one supervised executor (the scheduler,
   the resilience layer and the daemon's shards all run on it): it owns
   its worker processes and streams indexed jobs, yielding completions
-  out of order for the caller to reassemble;
-* :func:`replicate_scenario_parallel` keeps the original convenience API
-  on top, bit-identical to the serial
-  :func:`repro.core.simulation.replicate_scenario` in all cases.
+  out of order for the caller to reassemble.
+
+Replicating a scenario across the pool is
+:meth:`repro.experiments.scheduler.ReplicationScheduler.replicate`,
+bit-identical to the serial
+:func:`repro.core.simulation.replicate_scenario` in all cases.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import (
 
 from ..resilience.policy import RetryPolicy, SupervisionReport
 from .parameters import ScenarioConfig
-from .simulation import ReplicationSet, ScenarioResult, run_scenario
+from .simulation import ScenarioResult, run_scenario
 
 #: Environment variable forcing a multiprocessing start method.
 START_METHOD_ENV = "REPRO_MP_START_METHOD"
@@ -522,34 +524,6 @@ class WorkerPool:
         return [payload]
 
 
-def replicate_scenario_parallel(
-    config: ScenarioConfig,
-    replications: int = 5,
-    seed: int = 0,
-    processes: Optional[int] = None,
-) -> ReplicationSet:
-    """Run replications across a process pool.
-
-    Results are identical to the serial
-    :func:`~repro.core.simulation.replicate_scenario` (same derived seeds,
-    same per-replication streams); only wall-clock time differs.
-    """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    worker_count = processes if processes is not None else default_process_count()
-    if worker_count < 1:
-        raise ValueError(f"processes must be >= 1, got {worker_count}")
-
-    jobs: Iterator[IndexedJob] = (
-        (index, config, seed, index) for index in range(replications)
-    )
-    results: list = [None] * replications
-    with WorkerPool(min(worker_count, replications)) as pool:
-        for index, result in pool.imap_indexed(jobs, job_count=replications):
-            results[index] = result
-    return ReplicationSet(config=config, results=results)
-
-
 __all__ = [
     "DISPATCH_SECONDS_PER_CHUNK",
     "IndexedJob",
@@ -562,7 +536,6 @@ __all__ = [
     "effective_parallelism",
     "mp_context",
     "projected_speedup",
-    "replicate_scenario_parallel",
     "run_indexed_job",
     "task_key",
 ]

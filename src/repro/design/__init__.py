@@ -6,13 +6,13 @@ crossing, nesting, ablation, seeded Latin-square subsampling),
 :mod:`~repro.design.compile` interprets points as scenario configs and
 compiles designs to cache-deduplicated job lists,
 :mod:`~repro.design.library` re-expresses every paper experiment as a
-design, and :mod:`~repro.design.io` loads custom designs from
-TOML/JSON.
+design (and is the one experiment-id registry), and
+:mod:`~repro.design.io` loads custom designs from TOML/JSON.  This
+package builds on :mod:`repro.experiments`, never the other way round.
 """
 
 from .compile import (
     KNOWN_FACTORS,
-    CompiledDesign,
     ExperimentDesign,
     build_scenario,
     compile_design,
@@ -55,7 +55,6 @@ __all__ = [
     "derive_factor",
     "KNOWN_FACTORS",
     "ExperimentDesign",
-    "CompiledDesign",
     "build_scenario",
     "render_label",
     "compile_design",

@@ -2,32 +2,31 @@
 
 :class:`ExperimentDesign` wraps a :class:`~repro.design.model.Design`
 with the experiment metadata (id, title, paper reference, checkpoints,
-shape checks) and a label template; :func:`compile_design` turns it into
-the scheduler's job list with **cache-aware dedup**: jobs whose
-``(scenario config, seed, replication)`` cache keys coincide collapse to
-one scheduled job and fan back out to every series that requested them
-at collection time.  The factor interpretation (``virus``, ``response``,
-``population``, ...) lives in :func:`build_scenario`.
+shape checks) and a label template; ``to_spec()`` compiles it to an
+:class:`~repro.experiments.spec.ExperimentSpec`, and
+:func:`compile_design` plans that spec with the one planner,
+:func:`~repro.experiments.spec.plan_experiment` (**cache-aware dedup**:
+jobs whose ``(scenario config, seed, replication)`` cache keys coincide
+collapse to one scheduled job and fan back out to every series that
+requested them at collection time).  The factor interpretation
+(``virus``, ``response``, ``population``, ...) lives in
+:func:`build_scenario`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..core.cache import result_key
 from ..core.parameters import NetworkParameters, ScenarioConfig
 from ..core.scenarios import baseline_scenario
-from ..experiments.spec import ExperimentResult, ExperimentSpec, SeriesSpec, ShapeCheck
+from ..experiments.spec import (
+    ExperimentPlan,
+    ExperimentSpec,
+    SeriesSpec,
+    ShapeCheck,
+    plan_experiment,
+)
 from .model import Design, DesignError, DesignLike, Factor, Level, Point, Subsample
 
 #: Factor names the scenario builder understands, in application order.
@@ -264,165 +263,23 @@ class ExperimentDesign:
         }
 
 
-@dataclass
-class CompiledDesign:
-    """A design flattened to a deduplicated scheduler job list.
-
-    ``jobs`` holds each distinct ``(scenario, seed, replication)`` once,
-    in first-request order; ``slots`` maps every series label to the job
-    indexes that serve its replications, so identical configurations are
-    simulated once and fan back out at collection.  ``dedup_ratio`` is
-    ``unique / requested`` (1.0 = nothing collapsed).
-    """
-
-    design: ExperimentDesign
-    spec: ExperimentSpec
-    replications: int
-    seed: int
-    jobs: List[Any] = field(default_factory=list)
-    slots: Dict[str, List[int]] = field(default_factory=dict)
-
-    @property
-    def requested_jobs(self) -> int:
-        return sum(len(indexes) for indexes in self.slots.values())
-
-    @property
-    def unique_jobs(self) -> int:
-        return len(self.jobs)
-
-    @property
-    def dedup_ratio(self) -> float:
-        requested = self.requested_jobs
-        return round(self.unique_jobs / requested, 4) if requested else 1.0
-
-    def job_keys(self) -> List[str]:
-        """The result-cache key of each scheduled job, in job order.
-
-        These keys are the currency shared with the checkpoint layer and
-        the campaign daemon: :class:`~repro.resilience.CampaignCheckpoint`
-        records them, and :mod:`repro.service` routes each job to the
-        shard owning that slice of the key space.
-        """
-        return [
-            result_key(job.config, job.seed, job.replication)
-            for job in self.jobs
-        ]
-
-    def collect(self, results: Sequence[Optional[Any]]) -> ExperimentResult:
-        """Fan deduplicated results back out into per-series sets."""
-        from ..core.simulation import ReplicationSet
-
-        series_results: Dict[str, Any] = {}
-        for series in self.spec.series:
-            survivors = [
-                results[index]
-                for index in self.slots[series.label]
-                if results[index] is not None
-            ]
-            if not survivors:
-                raise RuntimeError(
-                    f"every replication of series {series.label!r} "
-                    f"({self.spec.experiment_id}) failed and was quarantined; "
-                    "no statistics can be reported"
-                )
-            series_results[series.label] = ReplicationSet(
-                config=series.scenario, results=survivors
-            )
-        return ExperimentResult(
-            spec=self.spec,
-            series_results=series_results,
-            seed=self.seed,
-            replications=self.replications,
-        )
-
-    def manifest_section(self) -> Dict[str, Any]:
-        """The run manifest's ``design`` record for this compilation."""
-        section = self.design.grid_section()
-        section.update(
-            {
-                "seed": self.seed,
-                "replications": self.replications,
-                "requested_jobs": self.requested_jobs,
-                "unique_jobs": self.unique_jobs,
-                "dedup_ratio": self.dedup_ratio,
-            }
-        )
-        return section
-
-    def format(self) -> str:
-        """Human summary for ``repro-sim design compile``."""
-        lines = [
-            f"design {self.design.experiment_id}: "
-            f"{len(self.spec.series)} series × {self.replications} "
-            f"replication(s) (seed {self.seed})",
-        ]
-        for factor in self.design.design.factors():
-            labels = ", ".join(level.label or "<none>" for level in factor.levels)
-            lines.append(f"  factor {factor.name} ({factor.size}): {labels}")
-        if self.design.subsample_seed is not None:
-            lines.append(
-                f"  latin-square subsample: seed {self.design.subsample_seed}, "
-                f"{self.design.design.size} of "
-                f"{self.design.design.inner.size} grid points"
-            )
-        lines.append(
-            f"  jobs: {self.requested_jobs} requested → {self.unique_jobs} "
-            f"unique after dedup (ratio {self.dedup_ratio})"
-        )
-        return "\n".join(lines)
-
-
 def compile_design(
     design: ExperimentDesign,
     replications: Optional[int] = None,
     seed: int = 0,
-) -> CompiledDesign:
-    """Deterministically compile one design to its deduplicated job list.
+) -> ExperimentPlan:
+    """Compile one design and plan it as a deduplicated job list.
 
     A point carrying a ``seed`` factor pins its series to that master
-    seed; everything else uses ``seed``.  Job identity is the result
-    cache key, so dedup can never collapse two configurations the cache
-    would store separately.
+    seed and an ``engine`` factor owns its series' engine; see
+    :func:`~repro.experiments.spec.plan_experiment`.
     """
-    from ..experiments.scheduler import ReplicationJob
-
-    spec = design.to_spec()
-    reps = replications if replications is not None else spec.default_replications
-    if reps < 1:
-        raise ValueError(f"replications must be >= 1, got {reps}")
-    compiled = CompiledDesign(
-        design=design, spec=spec, replications=reps, seed=seed
-    )
-    by_key: Dict[str, int] = {}
-    engine_is_factor = "engine" in design.design.factor_names
-    for series, point in zip(spec.series, design.points()):
-        series_seed = seed
-        if "seed" in point:
-            series_seed = int(point["seed"].value)
-        # An explicit engine factor owns each series' engine; otherwise
-        # the spec-level engine is stamped exactly as run_batch does.
-        scenario = series.scenario if engine_is_factor else spec.scenario_for(series)
-        indexes: List[int] = []
-        for index in range(reps):
-            key = result_key(scenario, series_seed, index)
-            slot = by_key.get(key)
-            if slot is None:
-                slot = len(compiled.jobs)
-                by_key[key] = slot
-                compiled.jobs.append(
-                    ReplicationJob(
-                        config=scenario, seed=series_seed, replication=index
-                    )
-                )
-            indexes.append(slot)
-        compiled.slots[series.label] = indexes
-    return compiled
+    return plan_experiment(design.to_spec(), replications=replications, seed=seed)
 
 
 __all__ = [
     "KNOWN_FACTORS",
     "ExperimentDesign",
-    "CompiledDesign",
     "build_scenario",
     "render_label",
     "compile_design",

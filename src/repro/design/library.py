@@ -1,12 +1,11 @@
-"""Every paper experiment as a ~20-line declarative design.
+"""Every paper experiment as a ~20-line declarative design — the registry.
 
-This replaces the hand-written per-figure builder code: each factory
-returns an :class:`~repro.design.compile.ExperimentDesign` whose
-compiled series are **job-for-job identical** to the legacy builders
-(the differential test ``tests/test_design_equivalence.py`` pins this
-against a frozen copy of the pre-DSL code).  The registry serves these
-through :mod:`repro.experiments.figures`, so ``repro-sim figure`` is
-unchanged.
+Each factory returns an :class:`~repro.design.compile.ExperimentDesign`
+whose compiled series are **job-for-job identical** to the pre-DSL
+hand-written builders (``tests/test_design_equivalence.py`` pins this
+against job lists recorded from them).  :data:`DESIGN_FACTORIES` is the
+one id table: ``repro-sim figure``, ``design`` and ``list`` all resolve
+ids through :func:`get_design` / :func:`get_experiment`.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from ..core.parameters import (
 from ..core.scenarios import VIRUS_NUMBERS
 from ..core.units import HOURS, MINUTES
 from ..experiments import checks
+from ..experiments.spec import CheckResult, ExperimentSpec
 from .compile import ExperimentDesign
 from .model import Factor, Level, Point, ablate, cross, derive_factor
 
@@ -371,8 +371,6 @@ def design_scaling2000() -> ExperimentDesign:
     """§5.3 text: results scale from 1000 to 2000 phones."""
 
     def penetration_matches(results):
-        from ..experiments.spec import CheckResult
-
         small_pen = results["n1000"].final_summary().mean / 800.0
         big_pen = results["n2000"].final_summary().mean / 1600.0
         return CheckResult(
@@ -562,8 +560,26 @@ DESIGN_FACTORIES: Dict[str, Callable[[], ExperimentDesign]] = {
 EXTENSION_IDS = frozenset({"hybrid", "frontier"})
 
 
-def design_ids() -> List[str]:
-    """All library design ids, in paper order."""
+class UnknownExperimentError(KeyError):
+    """An experiment id that is not in the registry.
+
+    A ``KeyError`` subclass (callers catching ``KeyError`` keep working)
+    whose message lists the valid ids, the way ``load_golden`` reports
+    unknown fixtures — so a typo on the command line tells the user what
+    to type instead of just what failed.
+    """
+
+    def __init__(self, experiment_id: str) -> None:
+        super().__init__(experiment_id)
+        self.experiment_id = experiment_id
+
+    def __str__(self) -> str:
+        known = ", ".join(DESIGN_FACTORIES)
+        return f"unknown experiment {self.experiment_id!r}; known: {known}"
+
+
+def experiment_ids() -> List[str]:
+    """All registered experiment ids, in paper order."""
     return list(DESIGN_FACTORIES)
 
 
@@ -572,15 +588,12 @@ def get_design(experiment_id: str) -> ExperimentDesign:
     try:
         factory = DESIGN_FACTORIES[experiment_id]
     except KeyError:
-        known = ", ".join(DESIGN_FACTORIES)
-        raise KeyError(
-            f"unknown design {experiment_id!r}; known: {known}"
-        ) from None
+        raise UnknownExperimentError(experiment_id) from None
     return factory()
 
 
-def build(experiment_id: str):
-    """Compile one library design to its :class:`ExperimentSpec`."""
+def get_experiment(experiment_id: str) -> ExperimentSpec:
+    """Build the runnable spec for one experiment id."""
     return get_design(experiment_id).to_spec()
 
 
@@ -588,9 +601,10 @@ __all__ = [
     "PAPER_PLATEAU",
     "DESIGN_FACTORIES",
     "EXTENSION_IDS",
-    "design_ids",
+    "UnknownExperimentError",
+    "experiment_ids",
     "get_design",
-    "build",
+    "get_experiment",
     "virus_factor",
     "response_factor",
     "blacklist_factor",

@@ -1,60 +1,50 @@
 """Per-figure experiment harness.
 
-One :class:`ExperimentSpec` per paper table/figure (see
-:mod:`repro.experiments.figures`), a registry keyed by experiment id, and
-a runner that executes the series and renders paper-style reports.
+An :class:`ExperimentSpec` per paper table/figure (the paper's specs
+are compiled from the designs in :mod:`repro.design.library`, the one
+registry), the one planner :func:`plan_experiment`, the scheduler that
+runs planned jobs, and a runner that renders paper-style reports.
+
+Dependencies go one way: :mod:`repro.design` builds on this package,
+and nothing here depends on the design layer.
 """
 
-from .registry import (
-    EXPERIMENT_FACTORIES,
-    UnknownExperimentError,
-    experiment_ids,
-    get_design,
-    get_experiment,
-)
 from .runner import (
     export_csv,
     format_experiment_report,
-    run_design,
     run_experiment,
-    run_experiment_batch,
 )
 from .scheduler import (
     JobSecondsEstimator,
-    ReplicationJob,
     ReplicationScheduler,
     SchedulerStats,
-    flatten_experiment,
     reassemble,
 )
 from .spec import (
     CheckResult,
+    ExperimentPlan,
     ExperimentResult,
     ExperimentSpec,
+    ReplicationJob,
     SeriesSpec,
     ShapeCheck,
+    plan_experiment,
 )
 
 __all__ = [
     "ExperimentSpec",
     "ExperimentResult",
+    "ExperimentPlan",
     "SeriesSpec",
     "CheckResult",
     "ShapeCheck",
-    "EXPERIMENT_FACTORIES",
-    "UnknownExperimentError",
-    "experiment_ids",
-    "get_experiment",
-    "get_design",
+    "plan_experiment",
     "run_experiment",
-    "run_experiment_batch",
-    "run_design",
     "format_experiment_report",
     "export_csv",
     "JobSecondsEstimator",
     "ReplicationJob",
     "ReplicationScheduler",
     "SchedulerStats",
-    "flatten_experiment",
     "reassemble",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 from ..analysis.report import ascii_chart, format_table
 from ..analysis.timeseries import time_grid
@@ -32,10 +32,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every series of ``spec`` with ``replications`` replications.
 
-    All series share the master seed; each series' replications derive
-    their streams independently, so series are statistically independent
-    but the whole experiment is reproducible from one seed.  All
-    (series x replication) jobs go through one
+    All series share the master seed (unless a design's ``seed`` factor
+    pins one); each series' replications derive their streams
+    independently, so series are statistically independent but the
+    whole experiment is reproducible from one seed.  The job list comes
+    from :func:`~repro.experiments.spec.plan_experiment` (identical
+    configurations are simulated once) and runs through one
     :class:`~repro.experiments.scheduler.ReplicationScheduler`:
     ``processes=1`` is the inline serial path (bit-identical regardless of
     worker count), ``cache`` skips already-computed replications,
@@ -51,54 +53,6 @@ def run_experiment(
         auto_degrade=auto_degrade,
     ) as scheduler:
         return scheduler.run_experiment(spec, replications=replications, seed=seed)
-
-
-def run_experiment_batch(
-    specs: Sequence[ExperimentSpec],
-    replications: Optional[int] = None,
-    seed: int = 0,
-    processes: int = 1,
-    cache: Optional[ResultCache] = None,
-    resilience: Optional[RetryPolicy] = None,
-    auto_degrade: bool = True,
-) -> List[ExperimentResult]:
-    """Run several specs as one flattened job list on one scheduler."""
-    with ReplicationScheduler(
-        processes=processes,
-        cache=cache,
-        resilience=resilience,
-        auto_degrade=auto_degrade,
-    ) as scheduler:
-        return scheduler.run_batch(specs, replications=replications, seed=seed)
-
-
-def run_design(
-    design,
-    replications: Optional[int] = None,
-    seed: int = 0,
-    processes: int = 1,
-    cache: Optional[ResultCache] = None,
-    resilience: Optional[RetryPolicy] = None,
-    auto_degrade: bool = True,
-) -> ExperimentResult:
-    """Run one declarative design through the cache-deduplicated path.
-
-    Unlike :func:`run_experiment`, the job list comes from
-    :func:`repro.design.compile.compile_design`: design points whose
-    scenario/seed/replication cache keys coincide are simulated once and
-    fanned back out per series at collection.  The result is identical
-    to the undeduplicated run (job identity *is* the cache key).
-    """
-    from ..design.compile import compile_design
-
-    compiled = compile_design(design, replications=replications, seed=seed)
-    with ReplicationScheduler(
-        processes=processes,
-        cache=cache,
-        resilience=resilience,
-        auto_degrade=auto_degrade,
-    ) as scheduler:
-        return scheduler.run_compiled(compiled)
 
 
 def format_experiment_report(
@@ -183,8 +137,6 @@ def export_csv(
 
 __all__ = [
     "run_experiment",
-    "run_experiment_batch",
-    "run_design",
     "format_experiment_report",
     "export_csv",
 ]

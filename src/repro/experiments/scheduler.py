@@ -2,8 +2,9 @@
 
 The unit of work for every figure, sweep, and CLI batch is one
 *replication job* — ``(scenario config, master seed, replication index)``.
-This module flattens whole experiments (and multi-experiment batches)
-into one job list, satisfies jobs from the disk-backed
+This module runs whole experiments (and multi-experiment batches), each
+planned by :func:`~repro.experiments.spec.plan_experiment`, as one job
+list, satisfies jobs from the disk-backed
 :class:`~repro.core.cache.ResultCache` where possible, dispatches the
 rest across a persistent :class:`~repro.core.parallel.WorkerPool` with
 chunked streaming, and reassembles completions deterministically: results
@@ -67,7 +68,7 @@ from ..core.simulation import ReplicationSet, ScenarioResult, run_scenario
 from ..obs.metrics import NULL_METRICS, Metrics
 from ..resilience.checkpoint import CampaignCheckpoint
 from ..resilience.policy import FailureEvent, RetryPolicy, SupervisionReport
-from .spec import ExperimentResult, ExperimentSpec
+from .spec import ExperimentResult, ExperimentSpec, ReplicationJob, plan_experiment
 
 
 #: Prior for one replication's runtime before any batch has calibrated
@@ -147,15 +148,6 @@ class JobSecondsEstimator:
         )
 
 
-@dataclass(frozen=True)
-class ReplicationJob:
-    """One schedulable replication."""
-
-    config: ScenarioConfig
-    seed: int
-    replication: int
-
-
 @dataclass
 class SchedulerStats:
     """Aggregate accounting across every batch a scheduler ran."""
@@ -176,22 +168,6 @@ class SchedulerStats:
             f"{self.scheduled} jobs: {self.executed} simulated, "
             f"{self.cache_hits} from cache"
         )
-
-
-def flatten_experiment(
-    spec: ExperimentSpec,
-    replications: Optional[int] = None,
-    seed: int = 0,
-) -> List[ReplicationJob]:
-    """All (series x replication) jobs of one spec, in declaration order."""
-    reps = replications if replications is not None else spec.default_replications
-    if reps < 1:
-        raise ValueError(f"replications must be >= 1, got {reps}")
-    return [
-        ReplicationJob(config=spec.scenario_for(series), seed=seed, replication=index)
-        for series in spec.series
-        for index in range(reps)
-    ]
 
 
 def reassemble(
@@ -285,6 +261,9 @@ class ReplicationScheduler:
         self._resume_totals: Optional[Dict[str, int]] = None
         self._batches: List[Dict[str, Any]] = []
         self._worker_stats: Dict[int, Dict[str, float]] = {}
+        #: Executed xl jobs whose round width was widened past the causal
+        #: bound (their ``dt_widened`` result counter), summed.
+        self._dt_widened = 0
         self._seeds: set = set()
         #: Distinct scenario configs seen, keyed by name, plus job counts.
         self._scenario_jobs: Dict[str, Tuple[ScenarioConfig, int]] = {}
@@ -580,7 +559,8 @@ class ReplicationScheduler:
         """Fold one worker's per-job telemetry into the aggregates.
 
         Events come from the result's ``events_fired`` counter, which
-        both engines carry.
+        both engines carry; ``dt_widened`` is present on widened xl
+        results only.
         """
         self.metrics.merge(sidecar.get("metrics", {}))
         pid = int(sidecar.get("pid", 0))
@@ -594,6 +574,7 @@ class ReplicationScheduler:
         entry["jobs"] += 1
         entry["busy_seconds"] += float(sidecar.get("wall_seconds", 0.0))
         entry["events"] += int(result.counters.get("events_fired", 0))
+        self._dt_widened += int(result.counters.get("dt_widened", 0))
 
     def _note_batch(
         self, jobs: Sequence[ReplicationJob], executed: int, wall: float
@@ -750,6 +731,7 @@ class ReplicationScheduler:
             "wall_seconds": wall,
             "events_executed": events,
             "events_per_second": round(events / wall, 1) if wall > 0 else 0.0,
+            "dt_widened": self._dt_widened,
             "workers": workers,
             "kernel": {
                 "events_fired": events,
@@ -788,6 +770,7 @@ class ReplicationScheduler:
             label,
             wall_seconds=tele["wall_seconds"],
             events_executed=tele["events_executed"],
+            dt_widened=tele["dt_widened"],
             seeds=sorted(self._seeds),
             replications=self.stats.scheduled,
             scenarios=scenarios,
@@ -810,6 +793,8 @@ class ReplicationScheduler:
         seed: int = 0,
     ) -> ReplicationSet:
         """Replicate one scenario through the scheduler."""
+        if replications < 1:
+            raise ValueError(f"replications must be >= 1, got {replications}")
         jobs = [
             ReplicationJob(config=config, seed=seed, replication=index)
             for index in range(replications)
@@ -824,26 +809,13 @@ class ReplicationScheduler:
 
     # -- experiment orchestration -------------------------------------------
 
-    def run_compiled(self, compiled: Any) -> ExperimentResult:
-        """Run one cache-deduplicated compiled design.
-
-        ``compiled`` is a :class:`~repro.design.compile.CompiledDesign`
-        (duck-typed — this module must not import :mod:`repro.design`):
-        its ``jobs`` hold each distinct configuration once, and
-        ``collect()`` fans results back out to every series that
-        requested them.  The dedup accounting joins the run manifest's
-        ``design`` section.
-        """
-        self.design_sections.append(compiled.manifest_section())
-        return compiled.collect(self.run_jobs(compiled.jobs))
-
     def run_experiment(
         self,
         spec: ExperimentSpec,
         replications: Optional[int] = None,
         seed: int = 0,
     ) -> ExperimentResult:
-        """Run one spec as a flattened job list."""
+        """Run one spec through the planner (see :meth:`run_batch`)."""
         return self.run_batch([spec], replications=replications, seed=seed)[0]
 
     def run_batch(
@@ -854,62 +826,29 @@ class ReplicationScheduler:
     ) -> List[ExperimentResult]:
         """Run several specs as *one* job list (one pool, one dispatch).
 
-        Flattening the whole batch maximizes pool utilization: a short
-        figure's workers immediately pick up the next figure's jobs
-        instead of idling at a per-experiment barrier.
+        Each spec is planned by :func:`~repro.experiments.spec.plan_experiment`
+        and the plans' job lists run as one batch, so a short figure's
+        workers immediately pick up the next figure's jobs instead of
+        idling at a per-experiment barrier.  Each design-backed plan
+        adds its ``design`` record (factor grid plus dedup accounting)
+        to the run manifest.
         """
-        jobs: List[ReplicationJob] = []
-        layout: List[
-            Tuple[ExperimentSpec, int, List[Tuple[str, ScenarioConfig, int, int]]]
-        ] = []
-        for spec in specs:
-            reps = (
-                replications
-                if replications is not None
-                else spec.default_replications
-            )
-            slices: List[Tuple[str, ScenarioConfig, int, int]] = []
-            for series in spec.series:
-                scenario = spec.scenario_for(series)
-                start = len(jobs)
-                jobs.extend(
-                    ReplicationJob(config=scenario, seed=seed, replication=i)
-                    for i in range(reps)
-                )
-                slices.append((series.label, scenario, start, len(jobs)))
-            layout.append((spec, reps, slices))
-            if spec.design is not None:
-                section = spec.design.grid_section()
-                section.update({"seed": seed, "replications": reps})
+        plans = [
+            plan_experiment(spec, replications=replications, seed=seed)
+            for spec in specs
+        ]
+        for plan in plans:
+            section = plan.manifest_section()
+            if section is not None:
                 self.design_sections.append(section)
-
-        results = self.run_jobs(jobs)
-
-        experiment_results: List[ExperimentResult] = []
-        for spec, reps, slices in layout:
-            series_results: Dict[str, ReplicationSet] = {}
-            for label, scenario, start, stop in slices:
-                # Quarantined replications (resilience mode) leave None
-                # slots; the series continues with the survivors.
-                survivors = [r for r in results[start:stop] if r is not None]
-                if not survivors:
-                    raise RuntimeError(
-                        f"every replication of series {label!r} "
-                        f"({spec.experiment_id}) failed and was quarantined; "
-                        "no statistics can be reported"
-                    )
-                series_results[label] = ReplicationSet(
-                    config=scenario, results=survivors
-                )
-            experiment_results.append(
-                ExperimentResult(
-                    spec=spec,
-                    series_results=series_results,
-                    seed=seed,
-                    replications=reps,
-                )
-            )
-        return experiment_results
+        results = self.run_jobs([job for plan in plans for job in plan.jobs])
+        collected: List[ExperimentResult] = []
+        start = 0
+        for plan in plans:
+            stop = start + len(plan.jobs)
+            collected.append(plan.collect(results[start:stop]))
+            start = stop
+        return collected
 
 
 __all__ = [
@@ -918,7 +857,6 @@ __all__ = [
     "ReplicationJob",
     "ReplicationScheduler",
     "SchedulerStats",
-    "flatten_experiment",
     "reassemble",
     "telemetry_runner",
 ]

@@ -14,6 +14,8 @@ required
     ``label``, ``created`` (UTC ISO-8601), ``wall_seconds``,
     ``events_executed``, ``events_per_second``, ``host``.
 optional sections
+    ``dt_widened`` (executed xl jobs whose round width was widened past
+    the causal bound — a silent fallback, so it is counted),
     ``seed``/``seeds``, ``replications``, ``scenarios`` (name + config
     hash + job count each), ``scheduler`` (scheduled/executed/cache-hit
     job counts), ``cache`` (hits/misses/writes/hit_ratio and the
@@ -25,8 +27,8 @@ optional sections
     the checkpoint resume reconciliation — the durable record that a
     campaign survived faults), ``design`` (one record per design-backed
     experiment: the factor grid, point count, Latin-square subsample
-    seed, and — on the compiled path — requested/unique job counts and
-    the dedup ratio), ``service`` (required for ``kind == "service"``
+    seed, master seed, replications, requested/unique job counts and the
+    dedup ratio), ``service`` (required for ``kind == "service"``
     records: the campaign id, the journal recovery report, the shard
     fleet accounting, and per-op request counts from the daemon's
     request log), ``frontier`` (a solved response-time frontier: the
@@ -134,6 +136,7 @@ _SCHEMA = {
     "events_per_second": _SECONDS,
     "host": {},
     "events_total?": _COUNT,
+    "dt_widened?": _COUNT,
     "seed?": _INT,
     "seeds?": _ListOf(_INT),
     "replications?": _COUNT,
@@ -272,6 +275,7 @@ def build_manifest(
     wall_seconds: float,
     events_executed: int = 0,
     events_total: Optional[int] = None,
+    dt_widened: Optional[int] = None,
     seed: Optional[int] = None,
     seeds: Optional[Sequence[int]] = None,
     replications: Optional[int] = None,
@@ -309,7 +313,7 @@ def build_manifest(
         "host": host_info(),
     }
     sections = dict(
-        events_total=events_total, seed=seed, seeds=seeds,
+        events_total=events_total, dt_widened=dt_widened, seed=seed, seeds=seeds,
         replications=replications, scenarios=scenarios, scheduler=scheduler,
         design=design, cache=cache, workers=workers, kernel=kernel,
         resilience=resilience, service=service, frontier=frontier,

@@ -57,13 +57,10 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.cache import ResultCache, result_key
 from ..core.serialization import result_to_dict
-
-# repro.experiments must initialize before repro.design (the design
-# library's factor builders import back into the experiment registry).
-from ..experiments.scheduler import JobSecondsEstimator
 from ..design.compile import compile_design
 from ..design.io import design_from_dict
 from ..design.model import DesignError
+from ..experiments.scheduler import JobSecondsEstimator
 from ..obs.manifest import append_manifest, build_manifest
 from ..resilience.checkpoint import CampaignCheckpoint
 from ..resilience.log import sync

@@ -124,6 +124,25 @@ class TestMetricsFlag:
         assert sum(w["events"] for w in record["workers"]) == events
         assert record["events_per_second"] > 0
 
+    @pytest.mark.parametrize("duration, widened", [("900", 1), ("24", 0)])
+    def test_manifest_counts_dt_widened(self, duration, widened, tmp_path):
+        # MAX_ROUNDS widens the xl round width only at long horizons; a
+        # silent fallback like that must reach the run manifest.
+        # Blacklisting every sender after one message keeps 900 h cheap.
+        from repro.obs.manifest import read_manifests, validate_manifest
+
+        path = tmp_path / "run.jsonl"
+        argv = [
+            "run", "--engine", "xl", "--virus", "3", "--duration", duration,
+            "--population", "120", "--replications", "1",
+            "--response", "blacklist", "--threshold", "1",
+            "--no-chart", "--no-cache", "--metrics", str(path),
+        ]
+        assert main(argv) == 0
+        (record,) = read_manifests(path)
+        assert validate_manifest(record) == []
+        assert record["dt_widened"] == widened
+
     def test_repeat_runs_append(self, tmp_path):
         from repro.obs.manifest import read_manifests
 

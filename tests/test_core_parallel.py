@@ -1,4 +1,4 @@
-"""Tests for the parallel replication runner."""
+"""Tests for the parallel replication executor and its scheduler front end."""
 
 from __future__ import annotations
 
@@ -13,19 +13,22 @@ from repro.core.parallel import (
     START_METHOD_ENV,
     WorkerPool,
     default_process_count,
-    replicate_scenario_parallel,
 )
 from repro.core.serialization import result_to_dict
 from repro.core.simulation import replicate_scenario
-from repro.experiments.scheduler import telemetry_runner
+from repro.experiments.scheduler import ReplicationScheduler, telemetry_runner
 from repro.xl.presets import xl_scenario
+
+
+def _scheduled(config, replications, seed, processes):
+    """Replicate through the scheduler's pool (no cache, no auto-degrade)."""
+    with ReplicationScheduler(processes=processes, auto_degrade=False) as scheduler:
+        return scheduler.replicate(config, replications=replications, seed=seed)
 
 
 def test_serial_fallback_matches_reference(small_scenario):
     serial = replicate_scenario(small_scenario, replications=2, seed=9)
-    fallback = replicate_scenario_parallel(
-        small_scenario, replications=2, seed=9, processes=1
-    )
+    fallback = _scheduled(small_scenario, replications=2, seed=9, processes=1)
     assert fallback.final_infected() == serial.final_infected()
     assert [r.infection_times for r in fallback.results] == [
         r.infection_times for r in serial.results
@@ -34,9 +37,7 @@ def test_serial_fallback_matches_reference(small_scenario):
 
 def test_parallel_matches_serial(small_scenario):
     serial = replicate_scenario(small_scenario, replications=3, seed=4)
-    parallel = replicate_scenario_parallel(
-        small_scenario, replications=3, seed=4, processes=2
-    )
+    parallel = _scheduled(small_scenario, replications=3, seed=4, processes=2)
     assert parallel.final_infected() == serial.final_infected()
     assert parallel.replications == 3
     # Replication indices preserved in order.
@@ -49,9 +50,9 @@ def test_default_process_count_positive():
 
 def test_validation(small_scenario):
     with pytest.raises(ValueError):
-        replicate_scenario_parallel(small_scenario, replications=0)
+        _scheduled(small_scenario, replications=0, seed=0, processes=2)
     with pytest.raises(ValueError):
-        replicate_scenario_parallel(small_scenario, replications=2, processes=0)
+        _scheduled(small_scenario, replications=2, seed=0, processes=0)
 
 
 def _slow_marker_job(job):

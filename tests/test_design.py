@@ -27,8 +27,7 @@ from repro.design import (
     nest,
     render_label,
 )
-from repro.design.library import get_design
-from repro.experiments.registry import UnknownExperimentError, get_experiment
+from repro.design.library import UnknownExperimentError, get_design, get_experiment
 from repro.obs.manifest import build_manifest, validate_manifest
 
 

@@ -13,8 +13,9 @@ the DSL reproduces that record *exactly*:
 - same scenario configurations (canonical-JSON cache identity);
 - same experiment metadata (title, paper ref, checkpoints, engine,
   replication default, number of shape checks);
-- same flattened scheduler job list — same cache keys, same order;
-- the compiled (dedup-aware) job list requests exactly the recorded jobs.
+- the planner's requested jobs, in (series × replication) order — same
+  cache keys, same order;
+- the deduplicated job list requests exactly the recorded jobs.
 
 If one of these fails, ``repro-sim figure`` output is no longer
 byte-for-byte what it was before the DSL landed.  The fixture is never
@@ -29,19 +30,17 @@ from pathlib import Path
 
 import pytest
 
-# repro.experiments first: repro.design.compile and repro.experiments
-# import each other, and only this order resolves the cycle.
-from repro.experiments.registry import experiment_ids, get_experiment
-from repro.experiments.scheduler import flatten_experiment
 from repro.core.cache import result_key
 from repro.core.serialization import scenario_to_dict
 from repro.design.compile import compile_design
 from repro.design.library import (
     DESIGN_FACTORIES,
     EXTENSION_IDS,
-    build,
-    design_ids,
+    experiment_ids,
+    get_design,
+    get_experiment,
 )
+from repro.experiments.spec import plan_experiment
 
 FIXTURE = Path(__file__).parent / "fixtures" / "design_jobs.json"
 RECORDED = json.loads(FIXTURE.read_text(encoding="utf-8"))
@@ -63,26 +62,36 @@ def job_keys(jobs):
     return [result_key(j.config, j.seed, j.replication) for j in jobs]
 
 
+def requested_keys(plan):
+    """The plan's job keys in requested (series × replication) order."""
+    keys = job_keys(plan.jobs)
+    return [
+        keys[index]
+        for series in plan.spec.series
+        for index in plan.slots[series.label]
+    ]
+
+
 def test_legacy_freeze_covers_the_whole_registry():
     # Extensions (e.g. "hybrid") postdate the pre-DSL builders, so there
     # is nothing recorded to compare them against; the paper's artifact
     # set must stay exactly covered.
     paper_ids = set(experiment_ids()) - EXTENSION_IDS
     assert ALL_IDS == sorted(paper_ids)
-    assert ALL_IDS == sorted(set(design_ids()) - EXTENSION_IDS)
-    assert EXTENSION_IDS <= set(design_ids())
+    assert experiment_ids() == list(DESIGN_FACTORIES)
+    assert EXTENSION_IDS <= set(experiment_ids())
 
 
 @pytest.mark.parametrize("experiment_id", ALL_IDS)
 def test_series_labels_and_order_match(experiment_id):
-    spec = build(experiment_id)
+    spec = get_experiment(experiment_id)
     recorded = EXPERIMENTS[experiment_id]["series"]
     assert [s.label for s in spec.series] == [s["label"] for s in recorded]
 
 
 @pytest.mark.parametrize("experiment_id", ALL_IDS)
 def test_series_scenarios_match(experiment_id):
-    spec = build(experiment_id)
+    spec = get_experiment(experiment_id)
     recorded = EXPERIMENTS[experiment_id]["series"]
     assert len(spec.series) == len(recorded)
     for series, entry in zip(spec.series, recorded):
@@ -93,7 +102,7 @@ def test_series_scenarios_match(experiment_id):
 
 @pytest.mark.parametrize("experiment_id", ALL_IDS)
 def test_metadata_matches(experiment_id):
-    spec = build(experiment_id)
+    spec = get_experiment(experiment_id)
     recorded = EXPERIMENTS[experiment_id]
     assert spec.experiment_id == experiment_id
     assert spec.title == recorded["title"]
@@ -108,11 +117,11 @@ def test_metadata_matches(experiment_id):
 @pytest.mark.parametrize("experiment_id", ALL_IDS)
 @pytest.mark.parametrize("seed", (0, 11))
 def test_flattened_job_lists_match(experiment_id, seed):
-    spec = get_experiment(experiment_id)
-    new_keys = job_keys(
-        flatten_experiment(spec, replications=REPLICATIONS, seed=seed)
+    plan = plan_experiment(
+        get_experiment(experiment_id), replications=REPLICATIONS, seed=seed
     )
-    assert new_keys == EXPERIMENTS[experiment_id]["result_keys"][str(seed)]
+    recorded = EXPERIMENTS[experiment_id]["result_keys"][str(seed)]
+    assert requested_keys(plan) == recorded
 
 
 @pytest.mark.parametrize("experiment_id", ALL_IDS)
@@ -127,18 +136,13 @@ def test_compiled_jobs_request_exactly_the_legacy_jobs(experiment_id):
     assert compiled_keys == legacy_keys
     assert compiled.dedup_ratio == 1.0
     # The fan-out slots reconstruct every (series, replication) request.
-    requested = [
-        compiled_keys[index]
-        for series in compiled.spec.series
-        for index in compiled.slots[series.label]
-    ]
-    assert requested == legacy_keys
+    assert requested_keys(compiled) == legacy_keys
 
 
 @pytest.mark.parametrize("experiment_id", ALL_IDS)
 def test_registry_serves_the_design_compiled_spec(experiment_id):
     via_registry = get_experiment(experiment_id)
-    via_design = build(experiment_id)
+    via_design = get_design(experiment_id).to_spec()
     assert via_registry.series == via_design.series
     assert via_registry.design is not None
     assert via_registry.design.experiment_id == experiment_id

@@ -5,18 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ScenarioConfig, VirusParameters, NetworkParameters, UserParameters
+from repro.design.library import PAPER_PLATEAU, experiment_ids, get_experiment
 from repro.experiments import (
     CheckResult,
     ExperimentSpec,
     SeriesSpec,
-    experiment_ids,
     export_csv,
     format_experiment_report,
-    get_experiment,
     run_experiment,
 )
 from repro.experiments import checks
-from repro.experiments.figures import PAPER_PLATEAU
 
 
 class TestRegistry:

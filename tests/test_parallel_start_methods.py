@@ -1,7 +1,7 @@
 """Parallel replication must be bit-identical to serial under fork AND spawn.
 
-``replicate_scenario_parallel`` promises results identical to the serial
-path.  That promise must hold regardless of the multiprocessing start
+``ReplicationScheduler.replicate`` on a worker pool promises results
+identical to the serial path.  That promise must hold regardless of the multiprocessing start
 method: ``fork`` inherits the parent's module state while ``spawn``
 re-imports everything in a fresh interpreter, so any hidden global (a
 module-level RNG, a mutated default, an import-order effect) breaks one
@@ -25,11 +25,7 @@ from repro.core import (
     UserParameters,
     VirusParameters,
 )
-from repro.core.parallel import (
-    START_METHOD_ENV,
-    mp_context,
-    replicate_scenario_parallel,
-)
+from repro.core.parallel import START_METHOD_ENV, mp_context
 from repro.core.serialization import result_to_dict
 from repro.core.simulation import replicate_scenario
 from repro.experiments.scheduler import ReplicationScheduler
@@ -71,9 +67,10 @@ def test_parallel_matches_serial_bit_identically(
     monkeypatch.setenv(START_METHOD_ENV, method)
     assert mp_context().get_start_method() == method
 
-    parallel = replicate_scenario_parallel(
-        quick_scenario, replications=REPLICATIONS, seed=SEED, processes=2
-    )
+    with ReplicationScheduler(processes=2, auto_degrade=False) as scheduler:
+        parallel = scheduler.replicate(
+            quick_scenario, replications=REPLICATIONS, seed=SEED
+        )
     assert [result_to_dict(r) for r in parallel.results] == _serial_documents(
         quick_scenario
     )

@@ -129,7 +129,7 @@ def test_dedup_never_drops_a_distinct_config(factors, replications, seed):
     )
     requested_keys = set()
     for series, point in zip(
-        compiled.spec.series, compiled.design.points()
+        compiled.spec.series, compiled.spec.design.points()
     ):
         scenario = compiled.spec.scenario_for(series)
         for index in range(replications):

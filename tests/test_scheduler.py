@@ -28,11 +28,11 @@ from repro.experiments import (
     ReplicationJob,
     ReplicationScheduler,
     SeriesSpec,
-    flatten_experiment,
+    plan_experiment,
     reassemble,
     run_experiment,
-    run_experiment_batch,
 )
+from repro.obs.metrics import Metrics
 
 
 @pytest.fixture
@@ -184,7 +184,11 @@ class TestBatch:
             run_experiment(mini_spec, replications=1, seed=5),
             run_experiment(other, replications=1, seed=5),
         ]
-        batched = run_experiment_batch([mini_spec, other], replications=1, seed=5)
+        with ReplicationScheduler(metrics=Metrics(enabled=True)) as scheduler:
+            batched = scheduler.run_batch([mini_spec, other], replications=1, seed=5)
+            # Both plans run as one batch (one run_jobs call).
+            assert scheduler.telemetry()["scheduler"]["batches"] == 1
+            assert scheduler.stats.scheduled == 3
         assert len(batched) == 2
         for one, many in zip(individual, batched):
             assert one.spec.experiment_id == many.spec.experiment_id
@@ -193,17 +197,31 @@ class TestBatch:
                     many.series_results[label], one.series_results[label]
                 )
 
-    def test_flatten_order(self, mini_spec):
-        jobs = flatten_experiment(mini_spec, replications=3, seed=9)
+    def test_plan_order(self, mini_spec):
+        jobs = plan_experiment(mini_spec, replications=3, seed=9).jobs
         assert len(jobs) == 6
         assert [j.replication for j in jobs] == [0, 1, 2, 0, 1, 2]
         assert jobs[0].config == mini_spec.series[0].scenario
         assert jobs[3].config == mini_spec.series[1].scenario
         assert all(j.seed == 9 for j in jobs)
 
-    def test_flatten_validates_replications(self, mini_spec):
+    def test_plan_validates_replications(self, mini_spec):
         with pytest.raises(ValueError):
-            flatten_experiment(mini_spec, replications=0)
+            plan_experiment(mini_spec, replications=0)
+
+    def test_run_batch_rejects_zero_replications_before_dispatch(self, mini_spec):
+        with ReplicationScheduler() as scheduler:
+            with pytest.raises(ValueError, match="replications must be >= 1"):
+                scheduler.run_batch([mini_spec], replications=0)
+            assert scheduler.stats.scheduled == 0
+
+    def test_replicate_rejects_zero_replications_before_dispatch(
+        self, mini_scenario
+    ):
+        with ReplicationScheduler() as scheduler:
+            with pytest.raises(ValueError, match="replications must be >= 1"):
+                scheduler.replicate(mini_scenario, replications=0)
+            assert scheduler.stats.scheduled == 0
 
 
 class TestReassembly:
@@ -252,8 +270,6 @@ class TestTelemetry:
         assert tele["events_executed"] == 0
 
     def test_telemetry_aggregates_serial_run(self, mini_spec, tmp_path):
-        from repro.obs.metrics import Metrics
-
         cache = ResultCache(tmp_path / "c")
         metrics = Metrics(enabled=True)
         with ReplicationScheduler(
@@ -281,8 +297,6 @@ class TestTelemetry:
         assert os.path.isabs(tele["cache"]["dir"])
 
     def test_cache_hits_reflected_in_telemetry(self, mini_spec, tmp_path):
-        from repro.obs.metrics import Metrics
-
         with ReplicationScheduler(
             processes=1,
             cache=ResultCache(tmp_path / "c"),
@@ -304,8 +318,6 @@ class TestTelemetry:
         assert tele["events_executed"] == 0
 
     def test_results_identical_with_telemetry_enabled(self, mini_spec):
-        from repro.obs.metrics import Metrics
-
         plain = run_experiment(mini_spec, replications=2, seed=6)
         with ReplicationScheduler(
             processes=1, metrics=Metrics(enabled=True)
@@ -320,8 +332,6 @@ class TestTelemetry:
 
     def test_write_manifest_schema_valid(self, mini_spec, tmp_path):
         from repro.obs.manifest import read_manifests, validate_manifest
-        from repro.obs.metrics import Metrics
-
         cache = ResultCache(tmp_path / "c")
         path = tmp_path / "run.jsonl"
         with ReplicationScheduler(

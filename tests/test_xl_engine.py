@@ -32,8 +32,7 @@ from repro.core.scenarios import baseline_scenario
 from repro.core.serialization import scenario_from_dict, scenario_to_dict
 from repro.core.simulation import run_scenario
 from repro.des.trace import Tracer
-from repro.experiments.spec import ExperimentSpec, SeriesSpec
-from repro.experiments.scheduler import flatten_experiment
+from repro.experiments.spec import ExperimentSpec, SeriesSpec, plan_experiment
 from repro.validation.golden import (
     checkpoint_times,
     replication_signature,
@@ -91,7 +90,8 @@ def test_experiment_spec_stamps_engine():
         series=(SeriesSpec(label="a", scenario=scenario),),
         engine="xl",
     )
-    jobs = flatten_experiment(spec, replications=2)
+    jobs = plan_experiment(spec, replications=2).jobs
+    assert len(jobs) == 2
     assert all(job.config.engine == "xl" for job in jobs)
     with pytest.raises(ValueError):
         replace(spec, engine="warp")
