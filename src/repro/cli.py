@@ -135,11 +135,12 @@ def _at_least(kind, minimum, strict=False):
 
 @contextlib.contextmanager
 def _scenario_values(args: argparse.Namespace):
-    """Turn a scenario value the config rejects into a usage error.
+    """Turn a value the config or a generator rejects into a usage error.
 
-    ``ScenarioConfig`` and its parts validate themselves on construction;
-    a ``ValueError`` raised inside this block exits 2 with the
-    subcommand's usage and the message instead of a traceback.
+    ``ScenarioConfig`` and its parts validate themselves on construction,
+    and the topology generators check their parameters; a ``ValueError``
+    raised inside this block exits 2 with the subcommand's usage and the
+    message instead of a traceback.
     """
     try:
         yield
@@ -468,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap the core event loop (keeps profiles short; core engine only)",
     )
     profile_parser.add_argument("--seed", type=int, default=0)
-    profile_parser.add_argument("--top", type=int, default=10,
+    profile_parser.add_argument("--top", type=positive_int, default=10,
                                 help="hot-path rows to print")
     profile_parser.add_argument(
         "--metrics", default=None, metavar="PATH",
@@ -479,8 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     topology_parser = subparsers.add_parser(
         "topology", help="generate a contact-list network file"
     )
-    topology_parser.add_argument("--nodes", type=int, default=1000)
-    topology_parser.add_argument("--mean-degree", type=float, default=80.0)
+    topology_parser.set_defaults(parser=topology_parser)
+    topology_parser.add_argument("--nodes", type=population_int, default=1000)
+    topology_parser.add_argument("--mean-degree", type=positive_float, default=80.0)
     topology_parser.add_argument(
         "--model",
         default="powerlaw",
@@ -1101,13 +1103,14 @@ def _command_status(args: argparse.Namespace) -> int:
 
 def _command_topology(args: argparse.Namespace) -> int:
     streams = StreamFactory(args.seed)
-    graph = contact_network(
-        args.nodes,
-        args.mean_degree,
-        streams.stream("topology"),
-        model=args.model,
-        exponent=args.exponent,
-    )
+    with _scenario_values(args):
+        graph = contact_network(
+            args.nodes,
+            args.mean_degree,
+            streams.stream("topology"),
+            model=args.model,
+            exponent=args.exponent,
+        )
     write_contact_lists(graph, args.out)
     stats = DegreeStats.of(graph)
     print(

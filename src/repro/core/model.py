@@ -29,10 +29,10 @@ from ..des.random import Distribution, StreamFactory
 from ..des.simulator import Simulator
 from ..des.trace import Tracer
 from ..obs.metrics import Metrics
+from ..topology.csr import CSRAdjacency
 # contact_network stays bound here: perfbench's tracer rebinds and
 # restores it in every module that imported it by name.
 from ..topology.generators import contact_network  # noqa: F401
-from ..topology.graph import ContactGraph
 from ..topology.memo import shared_contact_network
 from .detection import DetectionTracker
 from .gateway import MMSGateway
@@ -51,7 +51,7 @@ class PhoneNetworkModel:
         self,
         config: ScenarioConfig,
         streams: StreamFactory,
-        graph: Optional[ContactGraph] = None,
+        graph: Optional[CSRAdjacency] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[Metrics] = None,
     ) -> None:

@@ -39,7 +39,7 @@ from ..san.gates import InputGate, OutputGate
 from ..san.model import SANModel
 from ..san.rewards import RateReward
 from ..san.simulator import SANSimulationResult, SANSimulator
-from ..topology.graph import ContactGraph
+from ..topology.csr import CSRAdjacency
 from .parameters import LimitPeriod, ScenarioConfig, Targeting, UserParameters, VirusParameters
 from .user import ACCEPTANCE_NEGLIGIBLE_AFTER
 
@@ -179,7 +179,7 @@ def build_phone_submodel(
 
 
 def build_san_phone_network(
-    graph: ContactGraph,
+    graph: CSRAdjacency,
     susceptible_ids: Sequence[int],
     patient_zero: int,
     virus: VirusParameters,
@@ -196,10 +196,10 @@ def build_san_phone_network(
         raise ValueError(f"patient zero {patient_zero} must be susceptible")
     submodels: List[Tuple[str, SANModel]] = []
     shared: List[str] = []
-    for phone_id in range(graph.num_nodes):
+    for phone_id, contacts in enumerate(graph.neighbor_lists()):
         submodel = build_phone_submodel(
             phone_id,
-            graph.neighbors(phone_id),
+            contacts,
             susceptible=phone_id in susceptible_set,
             initially_infected=phone_id == patient_zero,
             virus=virus,
@@ -228,7 +228,7 @@ def infected_count_reward(num_phones: int) -> RateReward:
 
 
 def run_san_phone_network(
-    graph: ContactGraph,
+    graph: CSRAdjacency,
     susceptible_ids: Sequence[int],
     patient_zero: int,
     virus: VirusParameters,
@@ -249,7 +249,7 @@ def run_san_phone_network(
 
 
 def san_final_infected_samples(
-    graph: ContactGraph,
+    graph: CSRAdjacency,
     susceptible_ids: Sequence[int],
     patient_zero: int,
     virus: VirusParameters,

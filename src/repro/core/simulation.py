@@ -20,7 +20,7 @@ from ..analysis.timeseries import CurveBand, StepCurve, aggregate_curves, time_g
 from ..des.random import StreamFactory
 from ..des.trace import Tracer
 from ..obs.metrics import Metrics
-from ..topology.graph import ContactGraph
+from ..topology.csr import CSRAdjacency
 from .model import PhoneNetworkModel
 from .parameters import ScenarioConfig
 
@@ -96,7 +96,7 @@ def run_scenario(
     config: ScenarioConfig,
     seed: int = 0,
     replication: int = 0,
-    graph: Optional[ContactGraph] = None,
+    graph: Optional[CSRAdjacency] = None,
     patient_zero: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[Metrics] = None,
@@ -232,7 +232,7 @@ def replicate_scenario(
     config: ScenarioConfig,
     replications: int = 5,
     seed: int = 0,
-    graph: Optional[ContactGraph] = None,
+    graph: Optional[CSRAdjacency] = None,
 ) -> ReplicationSet:
     """Run ``replications`` independent replications of ``config``.
 

@@ -829,9 +829,10 @@ class ReplicationScheduler:
         Each spec is planned by :func:`~repro.experiments.spec.plan_experiment`
         and the plans' job lists run as one batch, so a short figure's
         workers immediately pick up the next figure's jobs instead of
-        idling at a per-experiment barrier.  Each design-backed plan
-        adds its ``design`` record (factor grid plus dedup accounting)
-        to the run manifest.
+        idling at a per-experiment barrier.  A job several plans share
+        (figures reuse their baselines) runs once and its result fans
+        out to each.  Each design-backed plan adds its ``design`` record
+        (factor grid plus dedup accounting) to the run manifest.
         """
         plans = [
             plan_experiment(spec, replications=replications, seed=seed)
@@ -841,14 +842,19 @@ class ReplicationScheduler:
             section = plan.manifest_section()
             if section is not None:
                 self.design_sections.append(section)
-        results = self.run_jobs([job for plan in plans for job in plan.jobs])
-        collected: List[ExperimentResult] = []
-        start = 0
-        for plan in plans:
-            stop = start + len(plan.jobs)
-            collected.append(plan.collect(results[start:stop]))
-            start = stop
-        return collected
+        plan_keys = [plan.job_keys() for plan in plans]
+        by_key: Dict[str, int] = {}
+        jobs: List[ReplicationJob] = []
+        for plan, keys in zip(plans, plan_keys):
+            for job, key in zip(plan.jobs, keys):
+                if key not in by_key:
+                    by_key[key] = len(jobs)
+                    jobs.append(job)
+        results = self.run_jobs(jobs)
+        return [
+            plan.collect([results[by_key[key]] for key in keys])
+            for plan, keys in zip(plans, plan_keys)
+        ]
 
 
 __all__ = [

@@ -25,7 +25,6 @@ from .generators import (
     ring_lattice,
     watts_strogatz,
 )
-from .graph import ContactGraph
 from .memo import clear_graph_memo, shared_contact_network
 from .metrics import (
     DegreeStats,
@@ -41,7 +40,6 @@ from .metrics import (
 )
 
 __all__ = [
-    "ContactGraph",
     "CSRAdjacency",
     "csr_powerlaw",
     "contact_network",

@@ -23,7 +23,7 @@ import io
 from pathlib import Path
 from typing import List, TextIO, Tuple, Union
 
-from .graph import ContactGraph
+from .csr import CSRAdjacency, _from_pairs
 
 _HEADER_PREFIX = "# contact-list v1 n="
 
@@ -32,7 +32,7 @@ class ContactListFormatError(ValueError):
     """Raised when a contact-list file is malformed."""
 
 
-def write_contact_lists(graph: ContactGraph, destination: Union[str, Path, TextIO]) -> None:
+def write_contact_lists(graph: CSRAdjacency, destination: Union[str, Path, TextIO]) -> None:
     """Write ``graph`` in contact-list format to a path or text stream."""
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8") as handle:
@@ -41,22 +41,22 @@ def write_contact_lists(graph: ContactGraph, destination: Union[str, Path, TextI
         _write(graph, destination)
 
 
-def _write(graph: ContactGraph, handle: TextIO) -> None:
+def _write(graph: CSRAdjacency, handle: TextIO) -> None:
     handle.write(f"{_HEADER_PREFIX}{graph.num_nodes}\n")
-    for node in range(graph.num_nodes):
-        contacts = ", ".join(str(c) for c in graph.neighbors(node))
+    for node, row in enumerate(graph.neighbor_lists()):
+        contacts = ", ".join(map(str, row))
         handle.write(f"{node}: {contacts}\n")
 
 
-def dumps_contact_lists(graph: ContactGraph) -> str:
+def dumps_contact_lists(graph: CSRAdjacency) -> str:
     """Render ``graph`` in contact-list format as a string."""
     buffer = io.StringIO()
     _write(graph, buffer)
     return buffer.getvalue()
 
 
-def read_contact_lists(source: Union[str, Path, TextIO]) -> ContactGraph:
-    """Load a :class:`ContactGraph` from a path or text stream.
+def read_contact_lists(source: Union[str, Path, TextIO]) -> CSRAdjacency:
+    """Load a :class:`CSRAdjacency` from a path or text stream.
 
     Validates the header, node-id ranges, absence of self-loops, and
     reciprocity (every directed mention must have its mirror).
@@ -67,12 +67,12 @@ def read_contact_lists(source: Union[str, Path, TextIO]) -> ContactGraph:
     return _read(source)
 
 
-def loads_contact_lists(text: str) -> ContactGraph:
-    """Load a :class:`ContactGraph` from a string."""
+def loads_contact_lists(text: str) -> CSRAdjacency:
+    """Load a :class:`CSRAdjacency` from a string."""
     return _read(io.StringIO(text))
 
 
-def _read(handle: TextIO) -> ContactGraph:
+def _read(handle: TextIO) -> CSRAdjacency:
     header = handle.readline()
     if not header.startswith(_HEADER_PREFIX):
         raise ContactListFormatError(
@@ -133,11 +133,7 @@ def _read(handle: TextIO) -> ContactGraph:
                 f"contact lists are not reciprocal: {u} lists {v} but not vice versa"
             )
 
-    graph = ContactGraph(num_nodes)
-    for u, v in mention_set:
-        if u < v:
-            graph.add_edge(u, v)
-    return graph
+    return _from_pairs(num_nodes, list(mention_set))
 
 
 __all__ = [

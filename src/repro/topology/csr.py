@@ -1,36 +1,35 @@
-"""CSR (compressed sparse row) contact networks and the power-law builder.
+"""The contact graph: CSR (compressed sparse row) arrays and the power-law builder.
 
-The object-based :class:`~repro.topology.graph.ContactGraph` keeps one
-``set`` per node; at the paper's density (mean contact-list size 80) that
-is ~80 Python object references per phone, which caps practical
-population size around 10⁴.  This module provides the same contact-list
-semantics as two flat integer arrays:
+The paper connects phones through *reciprocal* contact lists ("if phone 22
+is in the contact list of phone 83, then phone 83 is in the contact list of
+phone 22"), i.e. an undirected graph over integer phone ids.  Every
+engine, generator and tool holds that graph as one
+:class:`CSRAdjacency`: two flat integer arrays, so a paper-density
+network (mean contact-list size 80) costs 4 bytes per contact instead of
+a Python object each, and populations of millions fit in memory.
 
 ``indptr``
     ``int64`` array of length ``n + 1``; the neighbours of phone ``i``
     live at ``indices[indptr[i]:indptr[i + 1]]``.
 ``indices``
-    ``int32`` array of neighbour ids, sorted within each row (matching
-    the sorted tuples from :meth:`ContactGraph.neighbor_lists`).
+    ``int32`` array of neighbour ids, sorted within each row.
 
 It also holds the one power-law configuration-model stage both
 generators share: :func:`configuration_model` draws the degree sequence,
 shuffles the stubs, pairs them and dedupes through
 :meth:`CSRAdjacency.from_edges`.  :func:`csr_powerlaw` (the xl engine)
-and :func:`~repro.topology.generators.powerlaw_configuration_model` (the
-core engine) differ only in how they repair isolated phones afterwards,
-so from one seed they wire the same edges.
+and :func:`~repro.topology.generators.contact_network` (the core engine)
+differ only in how they repair isolated phones afterwards, so from one
+seed they wire the same edges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .graph import ContactGraph
 
 
 @dataclass(frozen=True)
@@ -73,22 +72,39 @@ class CSRAdjacency:
         """Sorted neighbour ids of ``node`` (view into ``indices``)."""
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
 
+    def has_edge(self, u: int, v: int) -> bool:
+        """True if phones ``u`` and ``v`` are mutual contacts."""
+        for node in (u, v):
+            if not 0 <= node < self.num_nodes:
+                raise ValueError(f"node {node} out of range [0, {self.num_nodes})")
+        row = self.neighbors(u)
+        position = int(np.searchsorted(row, v))
+        return position < len(row) and int(row[position]) == v
+
     def neighbor_lists(self) -> Tuple[Tuple[int, ...], ...]:
         """Every row as a sorted tuple of Python ints.
 
-        Equal to :meth:`ContactGraph.neighbor_lists` of the same graph;
-        slicing one flat tuple avoids a per-row array conversion.
+        Slicing one flat tuple avoids a per-row array conversion.  Loops
+        that name, print or hash contacts read these rather than the
+        arrays, so no NumPy scalar reaches a name or a digest.
         """
         flat = tuple(self.indices.tolist())
         bounds = self.indptr.tolist()
         return tuple(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
 
+    def edges(self) -> Iterator[Tuple[int, int]]:
+        """Undirected edges as ``(u, v)`` with ``u < v``, sorted."""
+        for u, row in enumerate(self.neighbor_lists()):
+            for v in row:
+                if u < v:
+                    yield (u, v)
+
     @classmethod
     def from_edges(cls, num_nodes: int, u: np.ndarray, v: np.ndarray) -> "CSRAdjacency":
         """Build from undirected edge endpoint arrays.
 
-        Self-loops are dropped and duplicate edges collapse, mirroring
-        :meth:`ContactGraph.add_edge` semantics.
+        Self-loops are dropped and duplicate edges collapse: a phone is
+        never in its own contact list and a contact appears once.
         """
         u = np.asarray(u)
         v = np.asarray(v)
@@ -111,10 +127,10 @@ class CSRAdjacency:
         lo = key // num_nodes
         hi = key % num_nodes
         # Symmetrise into (source, neighbour) order so each row comes out
-        # sorted like ContactGraph.neighbor_lists().  The forward run
-        # (lo -> hi) is already key-sorted, so only the reverse run needs
-        # an argsort — half the elements of sorting the concatenation —
-        # and the two sorted runs merge via searchsorted rank arithmetic.
+        # sorted.  The forward run (lo -> hi) is already key-sorted, so
+        # only the reverse run needs an argsort — half the elements of
+        # sorting the concatenation — and the two sorted runs merge via
+        # searchsorted rank arithmetic.
         # Keys never collide across runs: a forward key has lo < hi, a
         # reverse key hi > lo, so equality would force lo == hi.
         reverse_key = hi * num_nodes + lo
@@ -134,31 +150,11 @@ class CSRAdjacency:
         np.cumsum(counts, out=indptr[1:])
         return cls(indptr=indptr, indices=indices)
 
-    @classmethod
-    def from_contact_graph(cls, graph: ContactGraph) -> "CSRAdjacency":
-        """Convert an object graph (e.g. a pinned validation topology)."""
-        neighbor_lists = graph.neighbor_lists()
-        counts = np.fromiter(
-            (len(row) for row in neighbor_lists), dtype=np.int64, count=graph.num_nodes
-        )
-        indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        if int(indptr[-1]) == 0:
-            indices = np.empty(0, dtype=np.int32)
-        else:
-            indices = np.concatenate(
-                [np.asarray(row, dtype=np.int32) for row in neighbor_lists if row]
-            )
-        return cls(indptr=indptr, indices=indices)
 
-    def to_contact_graph(self) -> ContactGraph:
-        """Convert back to an object graph (small n only)."""
-        graph = ContactGraph(self.num_nodes)
-        for node in range(self.num_nodes):
-            for other in self.neighbors(node):
-                if node < other:
-                    graph.add_edge(node, int(other))
-        return graph
+def _from_pairs(num_nodes: int, pairs: Sequence[Tuple[int, int]]) -> CSRAdjacency:
+    """:meth:`CSRAdjacency.from_edges` over a list of ``(u, v)`` pairs."""
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return CSRAdjacency.from_edges(num_nodes, edges[:, 0], edges[:, 1])
 
 
 def _truncated_powerlaw_pmf(exponent: float, k_min: int, k_max: int) -> np.ndarray:
@@ -218,6 +214,12 @@ def configuration_model(
     collapse in :meth:`CSRAdjacency.from_edges`.  The draws are one
     ``rng.choice`` of degrees, one ``rng.integers`` parity fix when the
     stub count is odd, and one ``rng.shuffle``.
+
+    This family matches what the paper needs from NGCE: contact lists whose
+    *mean* is 80 but whose *median* is much smaller (address books are
+    heavy-tailed — most users keep tens of contacts, a few keep hundreds),
+    which is what gives contact-list viruses their multi-day spread while
+    leaving random-dialing viruses fast.
     """
     if num_nodes < 2:
         return CSRAdjacency(
@@ -286,9 +288,9 @@ def _insert_edges(
 ) -> CSRAdjacency:
     """Splice a *small* batch of new undirected edges into a CSR graph.
 
-    Edges must not already exist.  Cost is one pass over ``indices`` plus
-    O(len(u)) row searches — far cheaper than a full rebuild when the
-    batch is a few repair edges.
+    Edges must be distinct and not already exist.  Cost is one pass over
+    ``indices`` plus O(len(u)) row searches — far cheaper than a full
+    rebuild when the batch is a few repair edges.
     """
     indptr, indices = adjacency.indptr, adjacency.indices
     rows = np.concatenate((u, v))
@@ -297,7 +299,10 @@ def _insert_edges(
     for i, (row, value) in enumerate(zip(rows, values)):
         start, stop = indptr[row], indptr[row + 1]
         positions[i] = start + np.searchsorted(indices[start:stop], value)
-    order = np.argsort(positions, kind="stable")
+    # New contacts can share an insert position: two of one row with no
+    # old contact between them, or those of consecutive empty rows.
+    # Breaking ties by row, then value, keeps every row in place and sorted.
+    order = np.lexsort((values, rows, positions))
     new_indices = np.insert(indices, positions[order], values[order])
     new_indptr = indptr.copy()
     new_indptr[1:] += np.cumsum(np.bincount(rows, minlength=adjacency.num_nodes))

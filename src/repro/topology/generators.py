@@ -7,7 +7,9 @@ contact-list sizes follow a power law with mean 80; we provide that (the
 configuration model, the default; Chung–Lu expected-degree weights; and
 Barabási–Albert preferential attachment) plus the standard comparison
 topologies epidemiologists use (Erdős–Rényi, Watts–Strogatz, ring
-lattice, complete), all over :class:`~repro.topology.graph.ContactGraph`.
+lattice, complete).  Every generator returns a
+:class:`~repro.topology.csr.CSRAdjacency` built by one
+:meth:`~repro.topology.csr.CSRAdjacency.from_edges` call.
 
 All generators take an explicit ``numpy`` generator so topology draws come
 from their own stream (see :class:`repro.des.random.StreamFactory`).
@@ -16,24 +18,20 @@ from their own stream (see :class:`repro.des.random.StreamFactory`).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Set, Tuple
 
 import numpy as np
 
-from .csr import configuration_model
-from .graph import ContactGraph
+from .csr import CSRAdjacency, _from_pairs, _insert_edges, configuration_model
 
 
-def complete_graph(num_nodes: int) -> ContactGraph:
+def complete_graph(num_nodes: int) -> CSRAdjacency:
     """Every phone has every other phone in its contact list."""
-    graph = ContactGraph(num_nodes)
-    for u in range(num_nodes):
-        for v in range(u + 1, num_nodes):
-            graph.add_edge(u, v)
-    return graph
+    u, v = np.triu_indices(num_nodes, k=1)
+    return CSRAdjacency.from_edges(num_nodes, u, v)
 
 
-def ring_lattice(num_nodes: int, k: int) -> ContactGraph:
+def ring_lattice(num_nodes: int, k: int) -> CSRAdjacency:
     """Ring where each node connects to its ``k`` nearest neighbours.
 
     ``k`` must be even (``k/2`` on each side) and less than ``num_nodes``.
@@ -42,34 +40,31 @@ def ring_lattice(num_nodes: int, k: int) -> ContactGraph:
         raise ValueError(f"ring lattice requires even k, got {k}")
     if k >= num_nodes:
         raise ValueError(f"k={k} must be < num_nodes={num_nodes}")
-    graph = ContactGraph(num_nodes)
     half = k // 2
-    for u in range(num_nodes):
-        for offset in range(1, half + 1):
-            graph.add_edge(u, (u + offset) % num_nodes)
-    return graph
+    u = np.repeat(np.arange(num_nodes, dtype=np.int64), half)
+    offsets = np.tile(np.arange(1, half + 1, dtype=np.int64), num_nodes)
+    return CSRAdjacency.from_edges(num_nodes, u, (u + offsets) % num_nodes)
 
 
 def erdos_renyi(
     num_nodes: int,
     mean_degree: float,
     rng: np.random.Generator,
-) -> ContactGraph:
+) -> CSRAdjacency:
     """G(n, p) with ``p`` chosen to hit the requested mean degree."""
     if num_nodes < 2:
-        return ContactGraph(num_nodes)
+        return _from_pairs(num_nodes, [])
     p = mean_degree / (num_nodes - 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError(
             f"mean_degree={mean_degree} infeasible for n={num_nodes} (p={p:.4f})"
         )
-    graph = ContactGraph(num_nodes)
+    pairs: List[Tuple[int, int]] = []
     # Vectorised upper-triangle Bernoulli draws, chunked by row.
     for u in range(num_nodes - 1):
         targets = np.nonzero(rng.random(num_nodes - u - 1) < p)[0]
-        for t in targets:
-            graph.add_edge(u, u + 1 + int(t))
-    return graph
+        pairs.extend((u, u + 1 + t) for t in targets.tolist())
+    return _from_pairs(num_nodes, pairs)
 
 
 def watts_strogatz(
@@ -77,34 +72,41 @@ def watts_strogatz(
     k: int,
     rewire_prob: float,
     rng: np.random.Generator,
-) -> ContactGraph:
+) -> CSRAdjacency:
     """Small-world graph: ring lattice with random rewiring."""
     if not 0.0 <= rewire_prob <= 1.0:
         raise ValueError(f"rewire_prob must be in [0, 1], got {rewire_prob}")
-    graph = ring_lattice(num_nodes, k)
+    # Rewiring edits the edge set edge by edge, so it runs on local sets.
+    adjacency: List[Set[int]] = [
+        set(row) for row in ring_lattice(num_nodes, k).neighbor_lists()
+    ]
     half = k // 2
     for u in range(num_nodes):
         for offset in range(1, half + 1):
             v = (u + offset) % num_nodes
             if rng.random() >= rewire_prob:
                 continue
-            if not graph.has_edge(u, v):
+            if v not in adjacency[u]:
                 continue  # already rewired away by the other endpoint
             # Pick a new endpoint avoiding self-loops and duplicates.
             for _ in range(num_nodes):
                 w = int(rng.integers(0, num_nodes))
-                if w != u and not graph.has_edge(u, w):
-                    graph.remove_edge(u, v)
-                    graph.add_edge(u, w)
+                if w != u and w not in adjacency[u]:
+                    adjacency[u].discard(v)
+                    adjacency[v].discard(u)
+                    adjacency[u].add(w)
+                    adjacency[w].add(u)
                     break
-    return graph
+    return _from_pairs(
+        num_nodes, [(u, v) for u in range(num_nodes) for v in adjacency[u] if u < v]
+    )
 
 
 def barabasi_albert(
     num_nodes: int,
     edges_per_node: int,
     rng: np.random.Generator,
-) -> ContactGraph:
+) -> CSRAdjacency:
     """Preferential-attachment scale-free graph (mean degree ≈ 2m).
 
     Implemented with the standard repeated-nodes trick: attachment targets
@@ -116,22 +118,19 @@ def barabasi_albert(
         raise ValueError(f"edges_per_node must be >= 1, got {m}")
     if num_nodes <= m:
         raise ValueError(f"num_nodes={num_nodes} must exceed edges_per_node={m}")
-    graph = ContactGraph(num_nodes)
-    repeated: list = []
     # Seed with a star over the first m+1 nodes so every early node has
     # nonzero degree.
-    for v in range(1, m + 1):
-        graph.add_edge(0, v)
-        repeated.extend((0, v))
+    pairs: List[Tuple[int, int]] = [(0, v) for v in range(1, m + 1)]
+    repeated: list = [node for pair in pairs for node in pair]
     for u in range(m + 1, num_nodes):
         targets: set = set()
         while len(targets) < m:
             pick = repeated[int(rng.integers(0, len(repeated)))]
             targets.add(pick)
         for v in targets:
-            graph.add_edge(u, v)
+            pairs.append((u, v))
             repeated.extend((u, v))
-    return graph
+    return _from_pairs(num_nodes, pairs)
 
 
 def chung_lu_powerlaw(
@@ -140,7 +139,7 @@ def chung_lu_powerlaw(
     exponent: float,
     rng: np.random.Generator,
     min_weight: float = 1.0,
-) -> ContactGraph:
+) -> CSRAdjacency:
     """Expected-degree (Chung–Lu) graph with power-law weights.
 
     Node weights follow a truncated Pareto with tail exponent
@@ -172,63 +171,42 @@ def chung_lu_powerlaw(
     weights = weights / weights.mean() * mean_degree
     total = weights.sum()
 
-    graph = ContactGraph(num_nodes)
+    pairs: List[Tuple[int, int]] = []
     # Row-wise vectorised Bernoulli over the upper triangle.
     for u in range(num_nodes - 1):
         w_rest = weights[u + 1 :]
         probs = np.minimum(1.0, weights[u] * w_rest / total)
         hits = np.nonzero(rng.random(len(probs)) < probs)[0]
-        for h in hits:
-            graph.add_edge(u, u + 1 + int(h))
-    return graph
+        pairs.extend((u, u + 1 + h) for h in hits.tolist())
+    return _from_pairs(num_nodes, pairs)
 
 
-def powerlaw_configuration_model(
-    num_nodes: int,
-    mean_degree: float,
-    exponent: float,
-    rng: np.random.Generator,
-    k_max: Optional[int] = None,
-) -> ContactGraph:
-    """Power-law graph via the configuration model (NGCE-style).
-
-    Draws a degree sequence from a truncated power law
-    ``p(k) ∝ k^-exponent`` on ``[k_min, k_max]`` with ``k_min`` calibrated
-    so the distribution's mean matches ``mean_degree``, then wires stubs by
-    random matching, discarding self-loops and duplicate edges (see
-    :func:`~repro.topology.csr.configuration_model`, which this wraps, so
-    the edges equal :func:`~repro.topology.csr.csr_powerlaw`'s from one
-    seed whenever no phone is left isolated).
-
-    This family matches what the paper needs from NGCE: contact lists whose
-    *mean* is 80 but whose *median* is much smaller (address books are
-    heavy-tailed — most users keep tens of contacts, a few keep hundreds),
-    which is what gives contact-list viruses their multi-day spread while
-    leaving random-dialing viruses fast.
-    """
-    adjacency = configuration_model(num_nodes, mean_degree, exponent, rng, k_max)
-    return ContactGraph.from_sorted_rows(adjacency.neighbor_lists())
-
-
-def attach_isolated_nodes(graph: ContactGraph, rng: np.random.Generator) -> int:
-    """Give every isolated node one random contact.
+def attach_isolated_nodes(
+    graph: CSRAdjacency, rng: np.random.Generator
+) -> CSRAdjacency:
+    """``graph`` with every isolated node given one random contact.
 
     A phone with an empty contact list can neither receive nor spread a
     contact-list virus; the paper's contact lists have mean size 80, so
-    isolated phones are an artifact of random generation.  Returns the
-    number of nodes fixed.
+    isolated phones are an artifact of random generation.  Each isolated
+    phone, in id order, draws partners one ``rng.integers(0, n)`` at a
+    time until it draws another phone; two isolated phones that draw
+    each other share one edge.
     """
-    isolated = graph.isolated_nodes()
     n = graph.num_nodes
     if n < 2:
-        return 0
-    for node in isolated:
+        return graph
+    repairs: Set[Tuple[int, int]] = set()
+    for node in np.flatnonzero(graph.degrees() == 0).tolist():
         while True:
             other = int(rng.integers(0, n))
             if other != node:
-                graph.add_edge(node, other)
+                repairs.add((min(node, other), max(node, other)))
                 break
-    return len(isolated)
+    if not repairs:
+        return graph
+    lo, hi = np.array(sorted(repairs), dtype=np.int64).T
+    return _insert_edges(graph, lo, hi)
 
 
 def contact_network(
@@ -239,7 +217,7 @@ def contact_network(
     exponent: float = 2.5,
     rewire_prob: float = 0.1,
     ensure_no_isolated: bool = True,
-) -> ContactGraph:
+) -> CSRAdjacency:
     """Generate a contact-list network per the paper's topology setup.
 
     Parameters
@@ -265,7 +243,7 @@ def contact_network(
         :func:`attach_isolated_nodes`).
     """
     if model == "powerlaw":
-        graph = powerlaw_configuration_model(num_nodes, mean_degree, exponent, rng)
+        graph = configuration_model(num_nodes, mean_degree, exponent, rng)
     elif model == "chunglu":
         graph = chung_lu_powerlaw(num_nodes, mean_degree, exponent, rng)
     elif model == "ba":
@@ -287,7 +265,7 @@ def contact_network(
             "powerlaw/ba/random/smallworld/ring/complete"
         )
     if ensure_no_isolated and model not in ("complete",):
-        attach_isolated_nodes(graph, rng)
+        graph = attach_isolated_nodes(graph, rng)
     return graph
 
 

@@ -11,9 +11,9 @@ The key is every input of :func:`~repro.topology.generators.contact_network`
 the core model passes (population, mean contact-list size, topology
 model, power-law exponent) plus the identity of the topology stream's
 ``SeedSequence`` (its ``entropy`` and ``spawn_key``), which names the
-stream without drawing from it.  Entries are compact ``int32`` CSR, not
-:class:`~repro.topology.graph.ContactGraph` sets, and the memo holds at
-most :data:`GRAPH_MEMO_BYTES` of them, evicting the least recently used.
+stream without drawing from it.  Entries are the builder's own compact
+``int32`` CSR, stored as built, and the memo holds at most
+:data:`GRAPH_MEMO_BYTES` of them, evicting the least recently used.
 Nothing is built at import, and a forked worker inherits whatever its
 parent had built before the fork.  Like the models it feeds, the memo
 is used from one thread per process (a pool worker, or the daemon's
@@ -81,10 +81,9 @@ def shared_contact_network(
     if adjacency is not None:
         _MEMO.move_to_end(key)
         return adjacency
-    graph = contact_network(
+    adjacency = contact_network(
         population, mean_contact_list_size, rng, model=model, exponent=exponent
     )
-    adjacency = CSRAdjacency.from_contact_graph(graph)
     adjacency.indptr.flags.writeable = False
     adjacency.indices.flags.writeable = False
     _MEMO[key] = adjacency

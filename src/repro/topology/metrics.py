@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import ContactGraph
+from .csr import CSRAdjacency
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class DegreeStats:
     median: float
 
     @staticmethod
-    def of(graph: ContactGraph) -> "DegreeStats":
+    def of(graph: CSRAdjacency) -> "DegreeStats":
         """Compute degree statistics for ``graph``."""
         degrees = np.asarray(graph.degrees(), dtype=float)
         if len(degrees) == 0:
@@ -44,17 +44,18 @@ class DegreeStats:
         )
 
 
-def degree_histogram(graph: ContactGraph) -> Dict[int, int]:
+def degree_histogram(graph: CSRAdjacency) -> Dict[int, int]:
     """Mapping degree -> number of nodes with that degree."""
     histogram: Dict[int, int] = {}
-    for degree in graph.degrees():
+    for degree in graph.degrees().tolist():
         histogram[degree] = histogram.get(degree, 0) + 1
     return histogram
 
 
-def connected_components(graph: ContactGraph) -> List[List[int]]:
+def connected_components(graph: CSRAdjacency) -> List[List[int]]:
     """Connected components (BFS), each sorted, largest first."""
     n = graph.num_nodes
+    lists = graph.neighbor_lists()
     seen = [False] * n
     components: List[List[int]] = []
     for start in range(n):
@@ -66,7 +67,7 @@ def connected_components(graph: ContactGraph) -> List[List[int]]:
         while queue:
             node = queue.popleft()
             component.append(node)
-            for neighbor in graph.neighbors(node):
+            for neighbor in lists[node]:
                 if not seen[neighbor]:
                     seen[neighbor] = True
                     queue.append(neighbor)
@@ -75,33 +76,31 @@ def connected_components(graph: ContactGraph) -> List[List[int]]:
     return components
 
 
-def largest_component_fraction(graph: ContactGraph) -> float:
+def largest_component_fraction(graph: CSRAdjacency) -> float:
     """Fraction of nodes in the largest connected component."""
     if graph.num_nodes == 0:
         return 0.0
     return len(connected_components(graph)[0]) / graph.num_nodes
 
 
-def clustering_coefficient(graph: ContactGraph, node: int) -> float:
+def clustering_coefficient(graph: CSRAdjacency, node: int) -> float:
     """Local clustering coefficient of one node."""
-    neighbors = graph.neighbors(node)
+    return _clustering(graph.neighbor_lists(), node)
+
+
+def _clustering(lists: Sequence[Tuple[int, ...]], node: int) -> float:
+    neighbors = lists[node]
     k = len(neighbors)
     if k < 2:
         return 0.0
-    links = 0
     neighbor_set = set(neighbors)
-    for i, u in enumerate(neighbors):
-        # Count edges from u to other neighbours; each edge seen twice
-        # unless we restrict to later neighbours.
-        for v in neighbors[i + 1 :]:
-            if graph.has_edge(u, v):
-                links += 1
-    del neighbor_set
+    # Each link between two neighbours is seen from both of its ends.
+    links = sum(len(neighbor_set.intersection(lists[u])) for u in neighbors) // 2
     return 2.0 * links / (k * (k - 1))
 
 
 def average_clustering(
-    graph: ContactGraph,
+    graph: CSRAdjacency,
     sample: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> float:
@@ -115,17 +114,22 @@ def average_clustering(
         nodes: Sequence[int] = rng.choice(n, size=sample, replace=False).tolist()
     else:
         nodes = range(n)
-    values = [clustering_coefficient(graph, node) for node in nodes]
+    lists = graph.neighbor_lists()
+    values = [_clustering(lists, node) for node in nodes]
     return float(np.mean(values)) if values else 0.0
 
 
-def shortest_path_lengths(graph: ContactGraph, source: int) -> Dict[int, int]:
+def shortest_path_lengths(graph: CSRAdjacency, source: int) -> Dict[int, int]:
     """BFS hop distances from ``source`` to every reachable node."""
+    return _distances(graph.neighbor_lists(), source)
+
+
+def _distances(lists: Sequence[Tuple[int, ...]], source: int) -> Dict[int, int]:
     distances = {source: 0}
     queue = deque([source])
     while queue:
         node = queue.popleft()
-        for neighbor in graph.neighbors(node):
+        for neighbor in lists[node]:
             if neighbor not in distances:
                 distances[neighbor] = distances[node] + 1
                 queue.append(neighbor)
@@ -133,7 +137,7 @@ def shortest_path_lengths(graph: ContactGraph, source: int) -> Dict[int, int]:
 
 
 def average_path_length(
-    graph: ContactGraph,
+    graph: CSRAdjacency,
     sample_sources: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> float:
@@ -154,15 +158,16 @@ def average_path_length(
     total = 0
     pairs = 0
     component_set = set(component)
+    lists = graph.neighbor_lists()
     for source in sources:
-        for node, dist in shortest_path_lengths(graph, source).items():
+        for node, dist in _distances(lists, source).items():
             if node != source and node in component_set:
                 total += dist
                 pairs += 1
     return total / pairs if pairs else 0.0
 
 
-def degree_assortativity(graph: ContactGraph) -> float:
+def degree_assortativity(graph: CSRAdjacency) -> float:
     """Pearson correlation of degrees across edges (Newman's r).
 
     Social networks are typically assortative (hubs befriend hubs) while
@@ -171,7 +176,7 @@ def degree_assortativity(graph: ContactGraph) -> float:
     characterise generated networks.  Returns 0 for degenerate graphs
     (no edges or uniform degree).
     """
-    degrees = graph.degrees()
+    degrees = graph.degrees().tolist()
     x: List[float] = []
     y: List[float] = []
     for u, v in graph.edges():

@@ -62,7 +62,6 @@ from ..des.random import StreamFactory
 from ..obs.metrics import NULL_METRICS, Metrics, Timer
 from ..topology.csr import CSRAdjacency, csr_powerlaw
 from ..topology.generators import contact_network
-from ..topology.graph import ContactGraph
 from .consent import acceptance_probabilities, occurrence_index
 
 #: Phone states (compare :class:`repro.core.phone.PhoneState`).
@@ -129,7 +128,7 @@ class XLEngine:
         self,
         config: ScenarioConfig,
         streams: StreamFactory,
-        graph: Optional[ContactGraph] = None,
+        graph: Optional[CSRAdjacency] = None,
         metrics: Metrics = NULL_METRICS,
     ) -> None:
         virus = config.virus
@@ -185,7 +184,7 @@ class XLEngine:
                     f"graph has {graph.num_nodes} nodes but the scenario "
                     f"population is {network.population}"
                 )
-            self.adjacency = CSRAdjacency.from_contact_graph(graph)
+            self.adjacency = graph
         elif virus.targeting is Targeting.CONTACT_LIST:
             topology_rng = streams.stream("topology")
             if network.topology_model == "powerlaw":
@@ -196,14 +195,12 @@ class XLEngine:
                     topology_rng,
                 )
             else:
-                self.adjacency = CSRAdjacency.from_contact_graph(
-                    contact_network(
-                        network.population,
-                        network.mean_contact_list_size,
-                        topology_rng,
-                        model=network.topology_model,
-                        exponent=network.powerlaw_exponent,
-                    )
+                self.adjacency = contact_network(
+                    network.population,
+                    network.mean_contact_list_size,
+                    topology_rng,
+                    model=network.topology_model,
+                    exponent=network.powerlaw_exponent,
                 )
         # Random-dialing viruses never consult contact lists, so topology
         # generation is skipped entirely at scale.
@@ -1115,7 +1112,7 @@ def run_scenario_xl(
     config: ScenarioConfig,
     seed: int = 0,
     replication: int = 0,
-    graph: Optional[ContactGraph] = None,
+    graph: Optional[CSRAdjacency] = None,
     patient_zero: Optional[int] = None,
     metrics: Optional[Metrics] = None,
 ) -> ScenarioResult:

@@ -85,6 +85,29 @@ def test_topology_command(tmp_path, capsys):
     assert "mean list size" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--nodes", "-5"], "--nodes"),
+        (["--nodes", "1"], "--nodes"),
+        (["--mean-degree", "0"], "--mean-degree"),
+        (["--model", "chunglu", "--exponent", "1.0"], "exponent must be > 2"),
+        (["--model", "ring", "--mean-degree", "2000"], "must be < num_nodes"),
+    ],
+)
+def test_topology_rejects_bad_input_with_usage(argv, message, tmp_path, capsys):
+    """Bad counts and values a generator rejects exit 2 with usage and
+    write no file."""
+    out = tmp_path / "contacts.txt"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["topology", "--out", str(out)] + argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: repro-sim topology" in err
+    assert message in err
+    assert not out.exists()
+
+
 def test_every_response_option_builds():
     parser = build_parser()
     for response in ("scan", "detection", "education", "immunization",
@@ -192,6 +215,16 @@ def test_profile_max_events_on_xl_exits_2_with_usage(capsys):
     err = capsys.readouterr().err
     assert "usage: repro-sim profile" in err
     assert "--max-events" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_profile_top_must_be_positive(value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["profile", "--top", value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: repro-sim profile" in err
+    assert "--top" in err
 
 
 @pytest.mark.parametrize(

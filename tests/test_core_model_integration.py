@@ -244,11 +244,9 @@ def test_isolated_patient_zero_cannot_spread():
     """Contact-list virus with an isolated patient zero never propagates."""
     import numpy as np
 
-    from repro.topology import ContactGraph
+    from repro.topology.csr import _from_pairs
 
-    graph = ContactGraph(10)
-    for u in range(1, 9):
-        graph.add_edge(u, u + 1)
+    graph = _from_pairs(10, [(u, u + 1) for u in range(1, 9)])
     network = NetworkParameters(population=10, mean_contact_list_size=2.0)
     virus = VirusParameters(name="iso", min_send_interval=0.01)
     scenario = ScenarioConfig(

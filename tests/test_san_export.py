@@ -15,8 +15,8 @@ from repro.san import (
     TimedActivity,
     to_dot,
 )
-from repro.topology import ContactGraph, complete_graph, degree_assortativity
-from repro.topology.generators import powerlaw_configuration_model
+from repro.topology import complete_graph, degree_assortativity
+from repro.topology.csr import _from_pairs, configuration_model
 
 
 def gated_model() -> SANModel:
@@ -93,27 +93,22 @@ class TestAssortativity:
         assert degree_assortativity(complete_graph(6)) == 0.0
 
     def test_empty_graph(self):
-        assert degree_assortativity(ContactGraph(5)) == 0.0
+        assert degree_assortativity(_from_pairs(5, [])) == 0.0
 
     def test_star_is_disassortative(self):
-        star = ContactGraph.from_edges(6, [(0, i) for i in range(1, 6)])
+        star = _from_pairs(6, [(0, i) for i in range(1, 6)])
         assert degree_assortativity(star) == pytest.approx(-1.0)
 
     def test_assortative_construction(self):
         # Two cliques of different sizes joined by one edge: high-degree
         # nodes mostly link to high-degree nodes.
-        graph = ContactGraph(9)
-        for u in range(5):
-            for v in range(u + 1, 5):
-                graph.add_edge(u, v)
-        for u in range(5, 9):
-            for v in range(u + 1, 9):
-                graph.add_edge(u, v)
-        graph.add_edge(0, 5)
+        edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        edges += [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
+        graph = _from_pairs(9, edges + [(0, 5)])
         assert degree_assortativity(graph) > 0.0
 
     def test_configuration_model_near_neutral(self):
-        graph = powerlaw_configuration_model(
+        graph = configuration_model(
             600, 12.0, 1.8, np.random.default_rng(0)
         )
         r = degree_assortativity(graph)

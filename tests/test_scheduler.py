@@ -186,9 +186,10 @@ class TestBatch:
         ]
         with ReplicationScheduler(metrics=Metrics(enabled=True)) as scheduler:
             batched = scheduler.run_batch([mini_spec, other], replications=1, seed=5)
-            # Both plans run as one batch (one run_jobs call).
+            # Both plans run as one batch (one run_jobs call), and the
+            # "solo" series, which is mini's baseline, is scheduled once.
             assert scheduler.telemetry()["scheduler"]["batches"] == 1
-            assert scheduler.stats.scheduled == 3
+            assert scheduler.stats.scheduled == 2
         assert len(batched) == 2
         for one, many in zip(individual, batched):
             assert one.spec.experiment_id == many.spec.experiment_id
@@ -196,6 +197,32 @@ class TestBatch:
                 _assert_sets_identical(
                     many.series_results[label], one.series_results[label]
                 )
+
+    def test_batch_runs_each_job_shared_across_specs_once(self, mini_spec):
+        """Two specs sharing a series: each distinct job key executes once
+        and both specs get the same per-series results as solo runs."""
+        shared = ExperimentSpec(
+            experiment_id="mini-shared",
+            title="Mini shared",
+            paper_ref="(test)",
+            description="reuses mini's educated series",
+            series=(SeriesSpec("educated-again", mini_spec.series[1].scenario),),
+        )
+        specs = [mini_spec, shared]
+        keys = {
+            key
+            for spec in specs
+            for key in plan_experiment(spec, replications=2, seed=3).job_keys()
+        }
+        assert len(keys) == 4
+        with ReplicationScheduler() as scheduler:
+            batched = scheduler.run_batch(specs, replications=2, seed=3)
+            assert scheduler.stats.executed == len(keys)
+        for spec, many in zip(specs, batched):
+            solo = run_experiment(spec, replications=2, seed=3)
+            assert list(many.series_results) == list(solo.series_results)
+            for label, expected in solo.series_results.items():
+                _assert_sets_identical(many.series_results[label], expected)
 
     def test_plan_order(self, mini_spec):
         jobs = plan_experiment(mini_spec, replications=3, seed=9).jobs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.topology import (
-    ContactGraph,
+    CSRAdjacency,
     ContactListFormatError,
     contact_network,
     dumps_contact_lists,
@@ -14,10 +14,11 @@ from repro.topology import (
     read_contact_lists,
     write_contact_lists,
 )
+from repro.topology.csr import _from_pairs
 
 
-def sample_graph() -> ContactGraph:
-    return ContactGraph.from_edges(5, [(0, 1), (0, 4), (2, 3)])
+def sample_graph() -> CSRAdjacency:
+    return _from_pairs(5, [(0, 1), (0, 4), (2, 3)])
 
 
 def test_round_trip_string():

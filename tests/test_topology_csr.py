@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.topology import CSRAdjacency, csr_powerlaw
+from repro.topology.csr import _insert_edges
 from repro.topology.generators import contact_network
-from repro.topology.graph import ContactGraph
 
 
 def _assert_structural_invariants(adjacency: CSRAdjacency) -> None:
@@ -105,16 +105,40 @@ def test_from_edges_dedupes_and_sorts():
 
 
 def test_contact_graph_round_trip():
-    graph = ContactGraph(6)
-    for u, v in [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)]:
-        graph.add_edge(u, v)
-    adjacency = CSRAdjacency.from_contact_graph(graph)
+    """edges() -> from_edges rebuilds the same arrays; rows are Python ints."""
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)]
+    adjacency = CSRAdjacency.from_edges(6, *np.array(edges).T)
     assert adjacency.num_edges == 5
-    assert list(adjacency.neighbors(0)) == [1, 2]
-    back = adjacency.to_contact_graph()
-    assert back.neighbor_lists() == graph.neighbor_lists()
-    assert adjacency.neighbor_lists() == graph.neighbor_lists()
+    assert list(adjacency.edges()) == edges
+    back = CSRAdjacency.from_edges(6, *np.array(list(adjacency.edges())).T)
+    assert np.array_equal(back.indptr, adjacency.indptr)
+    assert np.array_equal(back.indices, adjacency.indices)
+    assert adjacency.neighbor_lists() == ((1, 2), (0, 2), (0, 1), (4,), (3, 5), (4,))
     assert all(type(v) is int for row in adjacency.neighbor_lists() for v in row)
+    assert all(type(v) is int for edge in adjacency.edges() for v in edge)
+
+
+def test_insert_edges_keeps_rows_sorted_and_in_place():
+    """New contacts sharing an insert position land in their own rows,
+    sorted: two of one row (0 and 3 into row 2) and those of the
+    consecutive empty rows 1 and 2."""
+    adjacency = CSRAdjacency.from_edges(5, np.array([0]), np.array([4]))
+    spliced = _insert_edges(adjacency, np.array([0, 1, 2]), np.array([2, 3, 3]))
+    rebuilt = CSRAdjacency.from_edges(
+        5, np.array([0, 0, 1, 2]), np.array([4, 2, 3, 3])
+    )
+    assert spliced.neighbor_lists() == rebuilt.neighbor_lists()
+    assert spliced.neighbor_lists() == ((2, 4), (3,), (0, 3), (1, 2), (0,))
+
+
+@pytest.mark.parametrize(
+    "model", ["powerlaw", "chunglu", "ba", "random", "smallworld", "ring", "complete"]
+)
+def test_every_model_builds_a_well_formed_graph(model):
+    rng = np.random.default_rng(5)
+    graph = contact_network(60, 6.0, rng, model=model, exponent=2.5)
+    assert graph.num_nodes == 60
+    _assert_structural_invariants(graph)
 
 
 def test_validation_errors():

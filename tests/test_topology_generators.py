@@ -15,9 +15,13 @@ from repro.topology import (
     ring_lattice,
     watts_strogatz,
 )
-from repro.topology.csr import solve_powerlaw_k_min
-from repro.topology.generators import powerlaw_configuration_model
+from repro.topology.csr import CSRAdjacency, configuration_model, solve_powerlaw_k_min
 from repro.topology.metrics import DegreeStats, largest_component_fraction
+
+
+def _is_reciprocal(graph):
+    lists = graph.neighbor_lists()
+    return all(u in lists[v] for u, row in enumerate(lists) for v in row)
 
 
 @pytest.fixture
@@ -28,12 +32,12 @@ def rng():
 def test_complete_graph():
     graph = complete_graph(6)
     assert graph.num_edges == 15
-    assert all(graph.degree(i) == 5 for i in range(6))
+    assert graph.degrees().tolist() == [5] * 6
 
 
 def test_ring_lattice_regular():
     graph = ring_lattice(10, 4)
-    assert all(graph.degree(i) == 4 for i in range(10))
+    assert graph.degrees().tolist() == [4] * 10
     assert graph.has_edge(0, 1)
     assert graph.has_edge(0, 2)
     assert not graph.has_edge(0, 3)
@@ -49,7 +53,7 @@ def test_ring_lattice_validation():
 def test_erdos_renyi_mean_degree(rng):
     graph = erdos_renyi(500, 12.0, rng)
     assert abs(graph.mean_degree() - 12.0) < 1.5
-    assert graph.is_reciprocal()
+    assert _is_reciprocal(graph)
 
 
 def test_erdos_renyi_infeasible_density(rng):
@@ -97,7 +101,7 @@ def test_barabasi_albert_validation(rng):
 def test_chung_lu_powerlaw_mean(rng):
     graph = chung_lu_powerlaw(800, 20.0, 2.5, rng)
     assert abs(graph.mean_degree() - 20.0) < 4.0
-    assert graph.is_reciprocal()
+    assert _is_reciprocal(graph)
 
 
 def test_chung_lu_validation(rng):
@@ -120,29 +124,31 @@ def test_solve_powerlaw_k_min_unreachable():
 
 def test_configuration_model_paper_settings(rng):
     """The paper's topology: 1000 phones, mean contact list ≈ 80."""
-    graph = powerlaw_configuration_model(1000, 80.0, 1.8, rng)
+    graph = configuration_model(1000, 80.0, 1.8, rng)
     stats = DegreeStats.of(graph)
     assert abs(stats.mean - 80.0) < 12.0
     # Heavy tail: median well below mean, hubs well above.
     assert stats.median < 0.8 * stats.mean
     assert stats.maximum > 2.5 * stats.mean
-    assert graph.is_reciprocal()
+    assert _is_reciprocal(graph)
 
 
 def test_configuration_model_reproducible():
-    a = powerlaw_configuration_model(200, 10.0, 1.8, np.random.default_rng(7))
-    b = powerlaw_configuration_model(200, 10.0, 1.8, np.random.default_rng(7))
+    a = configuration_model(200, 10.0, 1.8, np.random.default_rng(7))
+    b = configuration_model(200, 10.0, 1.8, np.random.default_rng(7))
     assert sorted(a.edges()) == sorted(b.edges())
 
 
 def test_attach_isolated_nodes(rng):
-    from repro.topology import ContactGraph
-
-    graph = ContactGraph(10)
-    graph.add_edge(0, 1)
+    graph = CSRAdjacency.from_edges(10, np.array([0]), np.array([1]))
     fixed = attach_isolated_nodes(graph, rng)
-    assert fixed == 8
-    assert graph.isolated_nodes() == []
+    assert graph.num_edges == 1  # the input graph is left as it was
+    assert fixed.has_edge(0, 1)
+    assert 0 not in fixed.degrees()
+    # One repair edge per isolated phone, less pairs that drew each other.
+    assert 4 <= fixed.num_edges - 1 <= 8
+    assert _is_reciprocal(fixed)
+    assert all(list(row) == sorted(set(row)) for row in fixed.neighbor_lists())
 
 
 def test_contact_network_dispatch(rng):
@@ -150,7 +156,7 @@ def test_contact_network_dispatch(rng):
         exponent = 2.5 if model == "chunglu" else 1.8
         graph = contact_network(200, 10.0, rng, model=model, exponent=exponent)
         assert graph.num_nodes == 200
-        assert graph.isolated_nodes() == []
+        assert 0 not in graph.degrees()
     graph = contact_network(20, 10.0, rng, model="complete")
     assert graph.num_edges == 190
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.topology import (
-    ContactGraph,
     DegreeStats,
     average_clustering,
     average_path_length,
@@ -20,10 +19,11 @@ from repro.topology import (
     ring_lattice,
     shortest_path_lengths,
 )
+from repro.topology.csr import _from_pairs
 
 
 def test_degree_stats():
-    graph = ContactGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    graph = _from_pairs(4, [(0, 1), (0, 2), (0, 3)])
     stats = DegreeStats.of(graph)
     assert stats.count == 4
     assert stats.mean == pytest.approx(1.5)
@@ -33,18 +33,18 @@ def test_degree_stats():
 
 
 def test_degree_stats_empty():
-    stats = DegreeStats.of(ContactGraph(0))
+    stats = DegreeStats.of(_from_pairs(0, []))
     assert stats.count == 0
     assert stats.mean == 0.0
 
 
 def test_degree_histogram():
-    graph = ContactGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    graph = _from_pairs(4, [(0, 1), (0, 2), (0, 3)])
     assert degree_histogram(graph) == {3: 1, 1: 3}
 
 
 def test_connected_components():
-    graph = ContactGraph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
+    graph = _from_pairs(6, [(0, 1), (1, 2), (3, 4)])
     components = connected_components(graph)
     assert components[0] == [0, 1, 2]
     assert components[1] == [3, 4]
@@ -59,13 +59,13 @@ def test_clustering_complete_graph():
 
 
 def test_clustering_star_graph():
-    graph = ContactGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    graph = _from_pairs(4, [(0, 1), (0, 2), (0, 3)])
     assert clustering_coefficient(graph, 0) == 0.0
     assert clustering_coefficient(graph, 1) == 0.0  # degree < 2
 
 
 def test_clustering_triangle_plus_leaf():
-    graph = ContactGraph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    graph = _from_pairs(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     # Node 2 has neighbours {0, 1, 3}; one of the three possible links (0-1).
     assert clustering_coefficient(graph, 2) == pytest.approx(1.0 / 3.0)
 
@@ -91,7 +91,7 @@ def test_average_path_length_complete():
 
 
 def test_average_path_length_disconnected_uses_largest():
-    graph = ContactGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    graph = _from_pairs(5, [(0, 1), (1, 2), (3, 4)])
     # Largest component path lengths: (0-1)=1, (1-2)=1, (0-2)=2 → mean 4/3.
     assert average_path_length(graph) == pytest.approx(4.0 / 3.0)
 

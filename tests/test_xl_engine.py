@@ -245,9 +245,9 @@ def test_xl_duplicate_mechanism_rejected():
 
 
 def test_xl_pinned_graph_population_mismatch_rejected():
-    from repro.topology.graph import ContactGraph
+    from repro.topology import complete_graph
 
-    graph = ContactGraph(10)
+    graph = complete_graph(10)
     with pytest.raises(ValueError, match="population"):
         run_scenario_xl(_small_scenario(), graph=graph)
 
