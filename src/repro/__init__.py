@@ -30,49 +30,39 @@ Quick start::
     print(result.total_infected, "phones infected")
 """
 
-from .core import (
-    BlacklistConfig,
-    DetectionAlgorithmConfig,
-    GatewayScanConfig,
-    ImmunizationConfig,
-    MonitoringConfig,
-    NetworkParameters,
-    ReplicationSet,
-    ScenarioConfig,
-    ScenarioResult,
-    UserEducationConfig,
-    UserParameters,
-    VirusParameters,
-    baseline_scenario,
-    replicate_scenario,
-    run_scenario,
-    virus1,
-    virus2,
-    virus3,
-    virus4,
-)
+from ._lazy import lazy_surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ScenarioConfig",
-    "VirusParameters",
-    "UserParameters",
-    "NetworkParameters",
-    "GatewayScanConfig",
-    "DetectionAlgorithmConfig",
-    "UserEducationConfig",
-    "ImmunizationConfig",
-    "MonitoringConfig",
-    "BlacklistConfig",
-    "baseline_scenario",
-    "virus1",
-    "virus2",
-    "virus3",
-    "virus4",
-    "run_scenario",
-    "replicate_scenario",
-    "ScenarioResult",
-    "ReplicationSet",
-]
+#: The quick-start surface, all defined in :mod:`repro.core`; each name
+#: is imported on first use (PEP 562), so ``import repro.xl.engine`` loads
+#: neither the core model nor the mean-field and SVG helpers.
+__getattr__, __dir__, __all__ = lazy_surface(
+    __name__,
+    globals(),
+    {
+        ".core": (
+            "ScenarioConfig",
+            "VirusParameters",
+            "UserParameters",
+            "NetworkParameters",
+            "GatewayScanConfig",
+            "DetectionAlgorithmConfig",
+            "UserEducationConfig",
+            "ImmunizationConfig",
+            "MonitoringConfig",
+            "BlacklistConfig",
+            "baseline_scenario",
+            "virus1",
+            "virus2",
+            "virus3",
+            "virus4",
+            "run_scenario",
+            "replicate_scenario",
+            "ScenarioResult",
+            "ReplicationSet",
+        ),
+    },
+)
+
+__all__ = ["__version__", *__all__]

@@ -1,55 +1,44 @@
 """Analysis of simulation output: curves, statistics, epidemic measures,
 and plain-text reporting."""
 
-from .epidemic import (
-    EpidemicSummary,
-    containment_ratio,
-    delay_to_level,
-    doubling_time,
-    estimate_r0,
-    expected_plateau,
-    exponential_growth_rate,
-    growth_concentration,
-    is_s_shaped,
-    plateau_reached,
-    summarize_epidemic,
-)
-from .meanfield import (
-    MeanFieldParameters,
-    MeanFieldResult,
-    expected_mean_field_plateau,
-    integrate_mean_field,
-)
-from .svg import render_curves_svg, save_curves_svg
-from .report import ascii_chart, format_series_summary, format_table
-from .stats import SampleSummary, ratio, relative_change, summarize, welch_t_test
-from .timeseries import CurveBand, StepCurve, aggregate_curves, time_grid
+from .._lazy import lazy_surface
 
-__all__ = [
-    "StepCurve",
-    "CurveBand",
-    "time_grid",
-    "aggregate_curves",
-    "SampleSummary",
-    "summarize",
-    "relative_change",
-    "ratio",
-    "welch_t_test",
-    "EpidemicSummary",
-    "summarize_epidemic",
-    "containment_ratio",
-    "delay_to_level",
-    "is_s_shaped",
-    "growth_concentration",
-    "plateau_reached",
-    "exponential_growth_rate",
-    "doubling_time",
-    "estimate_r0",
-    "expected_plateau",
-    "MeanFieldParameters",
-    "MeanFieldResult",
-    "integrate_mean_field",
-    "expected_mean_field_plateau",
-    "render_curves_svg",
-    "save_curves_svg",
-]
+#: Each public name is imported from its submodule on first use (PEP 562):
+#: a simulation job imports ``analysis.timeseries`` and ``analysis.stats``
+#: only, never the mean-field solver or the SVG writer (whose
+#: ``xml.sax.saxutils`` import pulls in ``urllib`` and ``http``).
+__getattr__, __dir__, __all__ = lazy_surface(
+    __name__,
+    globals(),
+    {
+        ".timeseries": ("StepCurve", "CurveBand", "time_grid", "aggregate_curves"),
+        ".stats": (
+            "SampleSummary",
+            "summarize",
+            "relative_change",
+            "ratio",
+            "welch_t_test",
+        ),
+        ".epidemic": (
+            "EpidemicSummary",
+            "summarize_epidemic",
+            "containment_ratio",
+            "delay_to_level",
+            "is_s_shaped",
+            "growth_concentration",
+            "plateau_reached",
+            "exponential_growth_rate",
+            "doubling_time",
+            "estimate_r0",
+            "expected_plateau",
+        ),
+        ".meanfield": (
+            "MeanFieldParameters",
+            "MeanFieldResult",
+            "integrate_mean_field",
+            "expected_mean_field_plateau",
+        ),
+        ".svg": ("render_curves_svg", "save_curves_svg"),
+        ".report": ("ascii_chart", "format_series_summary", "format_table"),
+    },
+)

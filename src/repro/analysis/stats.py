@@ -3,6 +3,10 @@
 Small, well-tested statistical helpers for summarising Monte Carlo
 replications: sample summaries, Student-t confidence intervals, and
 relative-change comparisons used by the effectiveness reports.
+
+``scipy.stats`` is imported inside the functions that call it, as in
+:mod:`repro.analysis.timeseries`: importing it costs about a second, and
+no simulation job calls these helpers, so a run path never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,8 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> SampleSummar
     array = np.asarray(values, dtype=float)
     mean = float(array.mean())
     if len(array) > 1:
+        from scipy import stats as scipy_stats
+
         std = float(array.std(ddof=1))
         t_value = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=len(array) - 1))
         half_width = t_value * std / math.sqrt(len(array))
@@ -95,6 +100,8 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
     """
     if len(a) < 2 or len(b) < 2:
         raise ValueError("welch_t_test needs at least 2 observations per sample")
+    from scipy import stats as scipy_stats
+
     result = scipy_stats.ttest_ind(
         np.asarray(a, dtype=float), np.asarray(b, dtype=float), equal_var=False
     )
@@ -128,6 +135,8 @@ def mean_difference_ci(
     df = (var_a + var_b) ** 2 / (
         var_a**2 / (len(xa) - 1) + var_b**2 / (len(xb) - 1)
     )
+    from scipy import stats as scipy_stats
+
     t_value = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
     return diff, diff - t_value * se, diff + t_value * se
 
@@ -146,6 +155,8 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float
     xb = np.asarray(b, dtype=float)
     if np.ptp(np.concatenate([xa, xb])) == 0.0:
         return float(len(xa) * len(xb) / 2.0), 1.0
+    from scipy import stats as scipy_stats
+
     result = scipy_stats.mannwhitneyu(xa, xb, alternative="two-sided")
     return float(result.statistic), float(result.pvalue)
 

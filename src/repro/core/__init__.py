@@ -12,132 +12,83 @@ Typical use::
     print(result.total_infected)
 """
 
-from .detection import DetectionTracker
-from .gateway import MMSGateway
-from .messages import MessageIdAllocator, MMSMessage
-from .metrics import ModelMetrics
-from .model import PhoneNetworkModel
-from .parameters import (
-    BlacklistConfig,
-    DetectionAlgorithmConfig,
-    DetectionParameters,
-    GatewayScanConfig,
-    ImmunizationConfig,
-    LimitPeriod,
-    MobilityParameters,
-    MonitoringConfig,
-    NetworkParameters,
-    ResponseConfig,
-    ResponseDeployment,
-    ScenarioConfig,
-    Targeting,
-    UserEducationConfig,
-    UserParameters,
-    VirusParameters,
-)
-from .phone import Phone, PhoneState, PhoneStateError
-from .responses import (
-    Blacklist,
-    DetectionAlgorithm,
-    GatewayScan,
-    Immunization,
-    Monitoring,
-    ResponseMechanism,
-    UserEducation,
-    build_mechanism,
-)
-from .scenarios import (
-    VIRUS_HORIZONS,
-    baseline_scenario,
-    virus1,
-    virus2,
-    virus3,
-    virus4,
-    virus_parameters,
-)
-from .cache import CACHE_SCHEMA_VERSION, ResultCache, result_key
-from .parallel import default_process_count
-from .serialization import (
-    SerializationError,
-    load_scenario,
-    result_from_dict,
-    result_to_dict,
-    save_scenario,
-    scenario_from_dict,
-    scenario_from_json,
-    scenario_to_dict,
-    scenario_to_json,
-)
-from .simulation import ReplicationSet, ScenarioResult, replicate_scenario, run_scenario
-from .user import (
-    PAPER_ACCEPTANCE_FACTOR,
-    acceptance_probability,
-    solve_acceptance_factor,
-    total_acceptance_probability,
-)
-from .virus import VirusEngine
+from .._lazy import lazy_surface
 
-__all__ = [
-    "PhoneNetworkModel",
-    "ScenarioConfig",
-    "VirusParameters",
-    "UserParameters",
-    "NetworkParameters",
-    "MobilityParameters",
-    "DetectionParameters",
-    "Targeting",
-    "LimitPeriod",
-    "GatewayScanConfig",
-    "DetectionAlgorithmConfig",
-    "UserEducationConfig",
-    "ImmunizationConfig",
-    "MonitoringConfig",
-    "BlacklistConfig",
-    "ResponseConfig",
-    "ResponseDeployment",
-    "ResponseMechanism",
-    "GatewayScan",
-    "DetectionAlgorithm",
-    "UserEducation",
-    "Immunization",
-    "Monitoring",
-    "Blacklist",
-    "build_mechanism",
-    "Phone",
-    "PhoneState",
-    "PhoneStateError",
-    "MMSMessage",
-    "MessageIdAllocator",
-    "MMSGateway",
-    "ModelMetrics",
-    "DetectionTracker",
-    "VirusEngine",
-    "virus1",
-    "virus2",
-    "virus3",
-    "virus4",
-    "virus_parameters",
-    "baseline_scenario",
-    "VIRUS_HORIZONS",
-    "run_scenario",
-    "replicate_scenario",
-    "default_process_count",
-    "ScenarioResult",
-    "ReplicationSet",
-    "SerializationError",
-    "scenario_to_dict",
-    "scenario_from_dict",
-    "scenario_to_json",
-    "scenario_from_json",
-    "save_scenario",
-    "load_scenario",
-    "result_to_dict",
-    "result_from_dict",
-    "ResultCache",
-    "result_key",
-    "CACHE_SCHEMA_VERSION",
-    "PAPER_ACCEPTANCE_FACTOR",
-    "acceptance_probability",
-    "total_acceptance_probability",
-    "solve_acceptance_factor",
-]
+#: Each public name is imported from its submodule on first use (PEP 562),
+#: so importing one layer (``core.parameters``, ``core.cache``) does not
+#: load the model, the response mechanisms or the analysis helpers.
+__getattr__, __dir__, __all__ = lazy_surface(
+    __name__,
+    globals(),
+    {
+        ".model": ("PhoneNetworkModel",),
+        ".parameters": (
+            "ScenarioConfig",
+            "VirusParameters",
+            "UserParameters",
+            "NetworkParameters",
+            "MobilityParameters",
+            "DetectionParameters",
+            "Targeting",
+            "LimitPeriod",
+            "GatewayScanConfig",
+            "DetectionAlgorithmConfig",
+            "UserEducationConfig",
+            "ImmunizationConfig",
+            "MonitoringConfig",
+            "BlacklistConfig",
+            "ResponseConfig",
+            "ResponseDeployment",
+        ),
+        ".responses": (
+            "ResponseMechanism",
+            "GatewayScan",
+            "DetectionAlgorithm",
+            "UserEducation",
+            "Immunization",
+            "Monitoring",
+            "Blacklist",
+            "build_mechanism",
+        ),
+        ".phone": ("Phone", "PhoneState", "PhoneStateError"),
+        ".messages": ("MMSMessage", "MessageIdAllocator"),
+        ".gateway": ("MMSGateway",),
+        ".metrics": ("ModelMetrics",),
+        ".detection": ("DetectionTracker",),
+        ".virus": ("VirusEngine",),
+        ".scenarios": (
+            "virus1",
+            "virus2",
+            "virus3",
+            "virus4",
+            "virus_parameters",
+            "baseline_scenario",
+            "VIRUS_HORIZONS",
+        ),
+        ".simulation": (
+            "run_scenario",
+            "replicate_scenario",
+            "ScenarioResult",
+            "ReplicationSet",
+        ),
+        ".parallel": ("default_process_count",),
+        ".serialization": (
+            "SerializationError",
+            "scenario_to_dict",
+            "scenario_from_dict",
+            "scenario_to_json",
+            "scenario_from_json",
+            "save_scenario",
+            "load_scenario",
+            "result_to_dict",
+            "result_from_dict",
+        ),
+        ".cache": ("ResultCache", "result_key", "CACHE_SCHEMA_VERSION"),
+        ".user": (
+            "PAPER_ACCEPTANCE_FACTOR",
+            "acceptance_probability",
+            "total_acceptance_probability",
+            "solve_acceptance_factor",
+        ),
+    },
+)

@@ -21,7 +21,6 @@ from ..des.random import StreamFactory
 from ..des.trace import Tracer
 from ..obs.metrics import Metrics
 from ..topology.csr import CSRAdjacency
-from .model import PhoneNetworkModel
 from .parameters import ScenarioConfig
 
 
@@ -134,6 +133,11 @@ def run_scenario(
             patient_zero=patient_zero,
             metrics=metrics,
         )
+    # Imported here, as the xl engine is above, so that importing this
+    # module (the scheduler, the xl engine, the daemon) never loads the
+    # DES model and its response mechanisms unless a core job runs.
+    from .model import PhoneNetworkModel
+
     streams = StreamFactory(seed).replication(replication)
     model = PhoneNetworkModel(
         config, streams, graph=graph, tracer=tracer, metrics=metrics

@@ -19,52 +19,27 @@ campaign daemon, and the CLI:
 (used by CI as a schema gate).
 """
 
-from .metrics import NULL_METRICS, Counter, Gauge, Metrics, Timer
+from .._lazy import lazy_surface
 
-#: Lazy re-exports (PEP 562).  The DES kernel imports ``repro.obs.metrics``
-#: while :mod:`repro.obs.manifest`/:mod:`repro.obs.profile` import the core
-#: model layers built *on* the kernel — eagerly importing them here would
-#: make loading the metrics registry circular.
-_LAZY_EXPORTS = {
-    "MANIFEST_KINDS": "manifest",
-    "MANIFEST_SCHEMA_VERSION": "manifest",
-    "append_manifest": "manifest",
-    "build_manifest": "manifest",
-    "host_info": "manifest",
-    "read_manifests": "manifest",
-    "scenario_hash": "manifest",
-    "validate_manifest": "manifest",
-    "ProfileReport": "profile",
-    "run_profile": "profile",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(f".{module_name}", __name__), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "MANIFEST_KINDS",
-    "MANIFEST_SCHEMA_VERSION",
-    "Metrics",
-    "NULL_METRICS",
-    "ProfileReport",
-    "Timer",
-    "append_manifest",
-    "build_manifest",
-    "host_info",
-    "read_manifests",
-    "run_profile",
-    "scenario_hash",
-    "validate_manifest",
-]
+#: Each public name is imported from its submodule on first use (PEP 562).
+#: The DES kernel imports ``repro.obs.metrics`` while ``obs.manifest`` and
+#: ``obs.profile`` import the core model layers built *on* the kernel, so
+#: loading them with the metrics registry would be circular.
+__getattr__, __dir__, __all__ = lazy_surface(
+    __name__,
+    globals(),
+    {
+        ".metrics": ("Counter", "Gauge", "Metrics", "NULL_METRICS", "Timer"),
+        ".manifest": (
+            "MANIFEST_KINDS",
+            "MANIFEST_SCHEMA_VERSION",
+            "append_manifest",
+            "build_manifest",
+            "host_info",
+            "read_manifests",
+            "scenario_hash",
+            "validate_manifest",
+        ),
+        ".profile": ("ProfileReport", "run_profile"),
+    },
+)

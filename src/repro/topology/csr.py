@@ -68,16 +68,19 @@ class CSRAdjacency:
             return 0.0
         return len(self.indices) / self.num_nodes
 
+    def _check_node(self, node: int) -> None:
+        if not 0 <= node < self.num_nodes:
+            raise ValueError(f"node {node} out of range [0, {self.num_nodes})")
+
     def neighbors(self, node: int) -> np.ndarray:
         """Sorted neighbour ids of ``node`` (view into ``indices``)."""
+        self._check_node(node)
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if phones ``u`` and ``v`` are mutual contacts."""
-        for node in (u, v):
-            if not 0 <= node < self.num_nodes:
-                raise ValueError(f"node {node} out of range [0, {self.num_nodes})")
         row = self.neighbors(u)
+        self._check_node(v)
         position = int(np.searchsorted(row, v))
         return position < len(row) and int(row[position]) == v
 
@@ -104,7 +107,8 @@ class CSRAdjacency:
         """Build from undirected edge endpoint arrays.
 
         Self-loops are dropped and duplicate edges collapse: a phone is
-        never in its own contact list and a contact appears once.
+        never in its own contact list and a contact appears once.  An
+        endpoint outside ``[0, num_nodes)`` raises :class:`ValueError`.
         """
         u = np.asarray(u)
         v = np.asarray(v)
@@ -119,6 +123,11 @@ class CSRAdjacency:
         # hash path on multi-million-edge arrays).
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
+        if lo.size and (lo.min() < 0 or hi.max() >= num_nodes):
+            raise ValueError(
+                f"edge endpoints must lie in [0, {num_nodes}), got "
+                f"[{int(lo.min())}, {int(hi.max())}]"
+            )
         key = lo.astype(np.int64, copy=False) * num_nodes + hi
         key.sort()
         if key.size:

@@ -21,6 +21,7 @@ from repro.analysis import (
     summarize_epidemic,
     welch_t_test,
 )
+from repro.analysis.stats import mann_whitney_u, mean_difference_ci
 
 
 class TestSummarize:
@@ -87,6 +88,50 @@ class TestWelch:
     def test_needs_two_observations(self):
         with pytest.raises(ValueError):
             welch_t_test([1.0], [1.0, 2.0])
+
+
+class TestPinnedValues:
+    """Exact outputs of the scipy-backed helpers, recorded before their
+    ``scipy.stats`` import moved into the functions: deferring the import
+    must not move a bit."""
+
+    A = [3.0, 5.0, 4.0, 9.0, 7.0, 6.0]
+    B = [1.0, 2.0, 2.0, 4.0, 3.0]
+
+    def test_summarize(self):
+        summary = summarize(self.A)
+        assert (summary.count, summary.mean, summary.std) == (
+            6,
+            5.666666666666667,
+            2.1602468994692865,
+        )
+        assert (summary.ci_lower, summary.ci_upper) == (
+            3.3996265793888,
+            7.933706753944534,
+        )
+        narrow = summarize(self.A, confidence=0.9)
+        assert (narrow.ci_lower, narrow.ci_upper) == (
+            3.889561041465195,
+            7.4437722918681395,
+        )
+
+    def test_welch_t_test(self):
+        assert welch_t_test(self.A, self.B) == (3.206657955918074, 0.012888424560541142)
+
+    def test_mean_difference_ci(self):
+        assert mean_difference_ci(self.A, self.B) == (
+            3.266666666666667,
+            0.9075548918117149,
+            5.62577844152162,
+        )
+        assert mean_difference_ci(self.A, self.B, confidence=0.99) == (
+            3.266666666666667,
+            -0.17573955245815442,
+            6.709072885791489,
+        )
+
+    def test_mann_whitney_u(self):
+        assert mann_whitney_u(self.A, self.B) == (28.0, 0.021567561422375793)
 
 
 def logistic_curve(final=320.0, rate=0.08, midpoint=80.0, end=432.0) -> StepCurve:

@@ -150,6 +150,32 @@ def test_validation_errors():
         CSRAdjacency.from_edges(3, np.array([0, 1]), np.array([1]))
 
 
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        ([0], [5]),  # key 0*3+5 would decode to the edge (1, 2)
+        ([0], [3]),
+        ([-1], [1]),
+        ([0, 1], [1, 3]),
+        (np.array([0], dtype=np.int32), np.array([7], dtype=np.int32)),
+    ],
+)
+def test_from_edges_rejects_out_of_range_endpoints(u, v):
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        CSRAdjacency.from_edges(3, np.asarray(u), np.asarray(v))
+
+
+@pytest.mark.parametrize("node", [-1, 3, 10])
+def test_neighbors_rejects_out_of_range_node(node):
+    adjacency = CSRAdjacency.from_edges(3, np.array([0, 1]), np.array([1, 2]))
+    with pytest.raises(ValueError, match="out of range"):
+        adjacency.neighbors(node)
+    with pytest.raises(ValueError, match="out of range"):
+        adjacency.has_edge(node, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        adjacency.has_edge(0, node)
+
+
 def test_tiny_populations():
     empty = csr_powerlaw(0, 8.0, 2.0, np.random.default_rng(0))
     assert empty.num_nodes == 0 and empty.num_edges == 0
