@@ -9,42 +9,31 @@ Dependencies go one way: :mod:`repro.design` builds on this package,
 and nothing here depends on the design layer.
 """
 
-from .runner import (
-    export_csv,
-    format_experiment_report,
-    run_experiment,
-)
-from .scheduler import (
-    JobSecondsEstimator,
-    ReplicationScheduler,
-    SchedulerStats,
-    reassemble,
-)
-from .spec import (
-    CheckResult,
-    ExperimentPlan,
-    ExperimentResult,
-    ExperimentSpec,
-    ReplicationJob,
-    SeriesSpec,
-    ShapeCheck,
-    plan_experiment,
-)
+from .._lazy import lazy_surface
 
-__all__ = [
-    "ExperimentSpec",
-    "ExperimentResult",
-    "ExperimentPlan",
-    "SeriesSpec",
-    "CheckResult",
-    "ShapeCheck",
-    "plan_experiment",
-    "run_experiment",
-    "format_experiment_report",
-    "export_csv",
-    "JobSecondsEstimator",
-    "ReplicationJob",
-    "ReplicationScheduler",
-    "SchedulerStats",
-    "reassemble",
-]
+#: Each public name is imported from its submodule on first use (PEP 562):
+#: a process that runs jobs imports ``experiments.scheduler`` and never
+#: the report runner (``runner``, ``analysis.report``, ``csv``).
+__getattr__, __dir__, __all__ = lazy_surface(
+    __name__,
+    globals(),
+    {
+        ".spec": (
+            "ExperimentSpec",
+            "ExperimentResult",
+            "ExperimentPlan",
+            "SeriesSpec",
+            "CheckResult",
+            "ShapeCheck",
+            "plan_experiment",
+            "ReplicationJob",
+        ),
+        ".runner": ("run_experiment", "format_experiment_report", "export_csv"),
+        ".scheduler": (
+            "JobSecondsEstimator",
+            "ReplicationScheduler",
+            "SchedulerStats",
+            "reassemble",
+        ),
+    },
+)

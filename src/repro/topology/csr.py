@@ -114,13 +114,12 @@ class CSRAdjacency:
         v = np.asarray(v)
         if u.shape != v.shape:
             raise ValueError("u and v must have the same shape")
-        keep = u != v
-        u, v = u[keep], v[keep]
         # Canonicalise at native width (the stub arrays arrive as int32;
         # widening before min/max doubles the memory traffic for nothing)
         # and only widen for the 64-bit (lo < hi) keys, deduped by sort +
         # adjacent-diff (an order of magnitude faster than np.unique's
-        # hash path on multi-million-edge arrays).
+        # hash path on multi-million-edge arrays).  The range check runs
+        # before self-loops are dropped, so an out-of-range loop raises too.
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
         if lo.size and (lo.min() < 0 or hi.max() >= num_nodes):
@@ -128,6 +127,8 @@ class CSRAdjacency:
                 f"edge endpoints must lie in [0, {num_nodes}), got "
                 f"[{int(lo.min())}, {int(hi.max())}]"
             )
+        keep = lo != hi
+        lo, hi = lo[keep], hi[keep]
         key = lo.astype(np.int64, copy=False) * num_nodes + hi
         key.sort()
         if key.size:

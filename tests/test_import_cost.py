@@ -26,11 +26,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 FORBIDDEN = ("scipy", "xml.sax", "urllib.request")
 
 
-def _loaded_forbidden(script: str) -> list:
+def _loaded_forbidden(script: str, forbidden=FORBIDDEN) -> list:
     """Run ``script`` in a fresh interpreter; the forbidden modules it loaded."""
     probe = (
         f"{script}\nimport json, sys\n"
-        f"print(json.dumps([m for m in {FORBIDDEN!r} if m in sys.modules]))"
+        f"print(json.dumps([m for m in {tuple(forbidden)!r} if m in sys.modules]))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     completed = subprocess.run(
@@ -55,6 +55,12 @@ def _loaded_forbidden(script: str) -> list:
 )
 def test_run_path_imports_load_no_scipy_or_xml(module):
     assert _loaded_forbidden(f"import {module}") == []
+
+
+def test_scheduler_import_loads_no_report_runner():
+    """Job processes import the scheduler; reports are rendered elsewhere."""
+    report_path = ("repro.experiments.runner", "repro.analysis.report", "csv")
+    assert _loaded_forbidden("import repro.experiments.scheduler", report_path) == []
 
 
 def test_core_and_xl_jobs_load_no_scipy():

@@ -1,5 +1,5 @@
-"""Lazy package surfaces: ``repro``, ``repro.core``, ``repro.analysis``
-and ``repro.obs`` re-export their submodules' public names on first use
+"""Lazy package surfaces: ``repro``, ``repro.core``, ``repro.analysis``,
+``repro.obs`` and ``repro.experiments`` re-export their submodules' public names on first use
 (PEP 562) and behave like the eager re-exports they replace.
 """
 
@@ -17,7 +17,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-PACKAGES = ["repro", "repro.core", "repro.analysis", "repro.obs"]
+PACKAGES = ["repro", "repro.core", "repro.analysis", "repro.obs", "repro.experiments"]
 
 #: Where the public names without a ``__module__`` of their own (constants
 #: and type aliases) live.
@@ -30,6 +30,7 @@ CONSTANT_OWNERS = {
     "NULL_METRICS": "repro.obs.metrics",
     "MANIFEST_KINDS": "repro.obs.manifest",
     "MANIFEST_SCHEMA_VERSION": "repro.obs.manifest",
+    "ShapeCheck": "repro.experiments.spec",
 }
 
 

@@ -158,6 +158,9 @@ def test_validation_errors():
         ([-1], [1]),
         ([0, 1], [1, 3]),
         (np.array([0], dtype=np.int32), np.array([7], dtype=np.int32)),
+        ([5], [5]),  # an out-of-range self-loop is rejected, not dropped
+        ([-2], [-2]),
+        ([0, 3], [1, 3]),
     ],
 )
 def test_from_edges_rejects_out_of_range_endpoints(u, v):
