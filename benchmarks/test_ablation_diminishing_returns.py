@@ -10,7 +10,9 @@ locates the knees.
 from __future__ import annotations
 
 from conftest import bench_replications, bench_seed
-from repro.experiments.sensitivity import STANDARD_SWEEPS, run_strength_sweep
+from repro.design.library import SWEEP_AXES, get_experiment
+from repro.experiments import run_experiment
+from repro.experiments.sensitivity import format_sweep, sweep_finals
 
 
 def test_diminishing_returns_knees(benchmark):
@@ -20,8 +22,8 @@ def test_diminishing_returns_knees(benchmark):
 
     def run():
         return {
-            sweep_id: run_strength_sweep(
-                STANDARD_SWEEPS[sweep_id], replications=replications, seed=seed
+            sweep_id: run_experiment(
+                get_experiment(sweep_id), replications=replications, seed=seed
             )
             for sweep_id in sweep_ids
         }
@@ -29,20 +31,19 @@ def test_diminishing_returns_knees(benchmark):
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
     for sweep_id, result in results.items():
-        print(result.format())
+        print(format_sweep(SWEEP_AXES[sweep_id], result))
         print()
 
-    scan = results["scan_delay"]
+    baseline, finals = sweep_finals(results["scan_delay"])
     # Faster scans always help (weak monotonicity along the delay axis,
     # with slack for Monte Carlo noise).
-    finals = scan.final_infected
-    assert finals[0] <= finals[-1] + 0.1 * scan.baseline_infected
+    assert finals[0] <= finals[-1] + 0.1 * baseline
     # Beyond some delay, the scan barely helps: the longest delay leaves
     # at least half the baseline infections in place, while the shortest
     # prevents most of them.
-    assert finals[0] < 0.3 * scan.baseline_infected
-    assert finals[-1] > 0.5 * scan.baseline_infected
+    assert finals[0] < 0.3 * baseline
+    assert finals[-1] > 0.5 * baseline
 
-    blacklist = results["blacklist_threshold"]
-    assert blacklist.final_infected[0] < 0.4 * blacklist.baseline_infected
-    assert blacklist.final_infected[-1] > 0.6 * blacklist.baseline_infected
+    baseline, finals = sweep_finals(results["blacklist_threshold"])
+    assert finals[0] < 0.4 * baseline
+    assert finals[-1] > 0.6 * baseline

@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     design_sub = design_parser.add_subparsers(dest="design_command", required=True)
     spec_help = (
-        "a registry experiment id (fig1 .. scaling2000) or a path to a "
+        "a registry experiment id (see repro-sim list) or a path to a "
         ".toml/.json design document"
     )
     design_show = design_sub.add_parser(
@@ -812,24 +812,23 @@ def _command_figure(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    from .experiments.sensitivity import STANDARD_SWEEPS, run_strength_sweep
+    from .design.library import SWEEP_AXES, get_experiment
+    from .experiments.sensitivity import format_sweep
 
-    try:
-        spec = STANDARD_SWEEPS[args.sweep_id]
-    except KeyError:
-        known = ", ".join(STANDARD_SWEEPS)
+    axis = SWEEP_AXES.get(args.sweep_id)
+    if axis is None:
+        known = ", ".join(SWEEP_AXES)
         print(f"unknown sweep {args.sweep_id!r}; known: {known}", file=sys.stderr)
         return 2
     with _make_scheduler(args, label=f"sweep:{args.sweep_id}") as scheduler:
-        result = run_strength_sweep(
-            spec,
+        result = scheduler.run_experiment(
+            get_experiment(args.sweep_id),
             replications=args.replications,
             seed=args.seed,
-            scheduler=scheduler,
         )
     _write_cli_manifest(args, scheduler, label=f"sweep:{args.sweep_id}")
     _report_resume(scheduler)
-    print(result.format())
+    print(format_sweep(axis, result))
     if scheduler.cache is not None:
         cache = scheduler.cache
         print(f"cache: {cache.hits} hits, {cache.misses} misses")
@@ -917,12 +916,12 @@ def _factor_lines(design) -> List[str]:
 
 
 def _command_design(args: argparse.Namespace) -> int:
-    from .design import DesignError
-
     try:
         design = _resolve_design(args.spec)
         spec = design.to_spec()
-    except (KeyError, OSError, DesignError) as exc:
+    except (KeyError, OSError, TypeError, ValueError) as exc:
+        # DesignError is a ValueError; so are the scenario and spec
+        # checks (virus number, engine) that compiling a document runs.
         print(exc, file=sys.stderr)
         return 2
 

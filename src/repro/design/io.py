@@ -41,7 +41,14 @@ def _shorthand_level(factor_name: str, value: Any) -> Level:
             f"factor {factor_name!r} has no scalar shorthand; use structured "
             "levels with an explicit 'label'"
         )
-    return Level(fmt.format(value), value)
+    try:
+        label = fmt.format(value)
+    except (TypeError, ValueError):
+        raise DesignError(
+            f"factor {factor_name!r}: level {value!r} is not a valid "
+            f"{factor_name} value"
+        ) from None
+    return Level(label, value)
 
 
 def _structured_level(factor_name: str, data: Dict[str, Any]) -> Level:
@@ -156,6 +163,16 @@ def design_from_dict(document: Dict[str, Any]) -> ExperimentDesign:
             size=None if size is None else int(size),
         )
 
+    try:
+        replications = int(meta.get("replications", 3))
+    except (TypeError, ValueError):
+        replications = 0
+    if replications < 1:
+        raise DesignError(
+            f"[design] replications must be an integer >= 1, got "
+            f"{meta['replications']!r}"
+        )
+
     experiment_id = str(meta["id"])
     return ExperimentDesign(
         experiment_id=experiment_id,
@@ -165,7 +182,7 @@ def design_from_dict(document: Dict[str, Any]) -> ExperimentDesign:
         design=design,
         label=str(meta.get("label", "{virus}")),
         checkpoints=tuple(float(c) for c in meta.get("checkpoints", ())),
-        default_replications=int(meta.get("replications", 3)),
+        default_replications=replications,
         engine=str(meta.get("engine", "core")),
     )
 

@@ -10,7 +10,8 @@ ids through :func:`get_design` / :func:`get_experiment`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from ..core.parameters import (
     BlacklistConfig,
@@ -25,7 +26,7 @@ from ..core.units import HOURS, MINUTES
 from ..experiments import checks
 from ..experiments.spec import CheckResult, ExperimentSpec
 from .compile import ExperimentDesign
-from .model import Factor, Level, Point, ablate, cross, derive_factor
+from .model import DesignError, Factor, Level, Point, ablate, cross, derive_factor
 
 #: The paper's expected unconstrained plateau: 800 susceptible × 0.40.
 PAPER_PLATEAU = 320.0
@@ -538,7 +539,90 @@ def design_frontier() -> ExperimentDesign:
     )
 
 
-#: Design factories for every reproduced paper artifact, in paper order.
+class SweepAxis(NamedTuple):
+    """One response mechanism's strength axis (paper §5.3)."""
+
+    #: The paper virus the mechanism is applied to.
+    virus: int
+    #: Human label of the strength axis, e.g. ``"activation delay (h)"``.
+    label: str
+    #: Whether *larger* strength values mean a *stronger* response.
+    larger_is_stronger: bool
+    #: The grid of strength values to simulate.
+    strengths: Tuple[float, ...]
+    #: Builds the response config for one strength value.
+    response: Callable[[float], object]
+
+
+#: One strength sweep per response mechanism, at the paper's operating
+#: points: the §5.3 "point of diminishing returns" analysis.
+SWEEP_AXES: Dict[str, SweepAxis] = {
+    "scan_delay": SweepAxis(
+        1, "activation delay (h)", False, (1.0, 3.0, 6.0, 12.0, 24.0, 48.0, 96.0),
+        lambda v: GatewayScanConfig(activation_delay=v),
+    ),
+    "detection_accuracy": SweepAxis(
+        2, "accuracy", True, (0.5, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99),
+        lambda v: DetectionAlgorithmConfig(accuracy=v),
+    ),
+    "education_scale": SweepAxis(
+        1, "acceptance scale", False, (0.125, 0.25, 0.5, 0.75, 1.0),
+        lambda v: UserEducationConfig(acceptance_scale=v),
+    ),
+    "patch_deployment": SweepAxis(
+        4, "deployment window (h)", False, (0.5, 1.0, 3.0, 6.0, 12.0, 24.0, 48.0),
+        lambda v: ImmunizationConfig(development_time=24.0, deployment_window=v),
+    ),
+    "monitoring_wait": SweepAxis(
+        3, "forced wait (h)", True, (0.05, 0.125, 0.25, 0.5, 1.0, 2.0),
+        lambda v: MonitoringConfig(forced_wait=v),
+    ),
+    "blacklist_threshold": SweepAxis(
+        3, "threshold (messages)", False, (5.0, 10.0, 20.0, 30.0, 40.0, 60.0),
+        lambda v: BlacklistConfig(threshold=int(v)),
+    ),
+}
+
+
+def design_strength_sweep(
+    sweep_id: str, axis: SweepAxis, *factors: Factor
+) -> ExperimentDesign:
+    """A strength sweep: the baseline, then one response level per strength.
+
+    Each strength's level is labelled and suffixed ``{sweep_id}={v:g}``,
+    which names its scenario (and so its result-cache key) as
+    ``tests/fixtures/sweep_jobs.json`` pins.  ``factors`` (e.g.
+    ``population``, ``duration``) refine the base scenario.
+    """
+    if len(axis.strengths) < 3:
+        raise DesignError(
+            f"sweep {sweep_id!r} needs >= 3 strengths for knee analysis"
+        )
+    strength = Factor(
+        "response",
+        tuple(
+            Level(f"{sweep_id}={v:g}", (axis.response(v),), suffix=f"{sweep_id}={v:g}")
+            for v in axis.strengths
+        ),
+    )
+    return ExperimentDesign(
+        experiment_id=sweep_id,
+        title=f"Response Strength Sweep: {axis.label} (Virus {axis.virus})",
+        paper_ref="Section 5.3 (diminishing returns)",
+        description=(
+            f"Final infections across {axis.label} values "
+            f"{', '.join(f'{v:g}' for v in axis.strengths)} against the "
+            "unprotected baseline; repro-sim sweep locates the point of "
+            "diminishing returns on this curve."
+        ),
+        design=cross(virus_factor((axis.virus,)), *factors, ablate(strength)),
+        label="{response}",
+        default_replications=2,
+    )
+
+
+#: Design factories for every reproduced paper artifact, in paper order,
+#: then the extensions and the strength sweeps.
 DESIGN_FACTORIES: Dict[str, Callable[[], ExperimentDesign]] = {
     "fig1": design_fig1,
     "fig2": design_fig2,
@@ -552,12 +636,17 @@ DESIGN_FACTORIES: Dict[str, Callable[[], ExperimentDesign]] = {
     "scaling2000": design_scaling2000,
     "hybrid": design_hybrid,
     "frontier": design_frontier,
+    **{
+        sweep_id: partial(design_strength_sweep, sweep_id, axis)
+        for sweep_id, axis in SWEEP_AXES.items()
+    },
 }
 
-#: Ids beyond the paper's artifact set (ROADMAP extensions).  The legacy
-#: differential-equivalence freeze covers everything *except* these — an
-#: extension has no pre-DSL hand-written builder to compare against.
-EXTENSION_IDS = frozenset({"hybrid", "frontier"})
+#: Ids beyond the paper's figure set: the ROADMAP extensions and the
+#: strength sweeps.  The legacy differential-equivalence freeze
+#: (``design_jobs.json``) covers everything *except* these; the sweeps'
+#: job lists are pinned by ``sweep_jobs.json`` instead.
+EXTENSION_IDS = frozenset({"hybrid", "frontier", *SWEEP_AXES})
 
 
 class UnknownExperimentError(KeyError):
@@ -601,6 +690,8 @@ __all__ = [
     "PAPER_PLATEAU",
     "DESIGN_FACTORIES",
     "EXTENSION_IDS",
+    "SWEEP_AXES",
+    "SweepAxis",
     "UnknownExperimentError",
     "experiment_ids",
     "get_design",
@@ -608,4 +699,5 @@ __all__ = [
     "virus_factor",
     "response_factor",
     "blacklist_factor",
+    "design_strength_sweep",
 ]

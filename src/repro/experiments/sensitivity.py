@@ -1,123 +1,30 @@
-"""Response-strength sweeps and diminishing-returns analysis (paper §5.3).
+"""Diminishing-returns analysis of a strength sweep (paper §5.3).
 
 The paper argues its results are "useful for locating the point of
 diminishing returns for each individual response mechanism, the point
 where implementing a faster or more accurate response mechanism does not
-much improve the success rate."  This module makes that analysis a
-first-class operation:
+much improve the success rate."  Each sweep is a library design (its
+axis in :data:`repro.design.library.SWEEP_AXES`): the baseline series
+first, then one series per strength.  This module analyses the
+collected :class:`~repro.experiments.spec.ExperimentResult`:
 
-* :func:`run_strength_sweep` simulates a scenario across a grid of
-  response strengths and records the final infection level per strength;
+* :func:`sweep_finals` reads the final infection level per strength;
 * :func:`knee_point` locates the diminishing-returns knee on the
   resulting benefit curve (maximum-distance-to-chord method);
-* :data:`STANDARD_SWEEPS` pre-defines one sweep per mechanism at the
-  paper's operating points (scan delay, detection accuracy, patch
-  timings, monitoring wait, blacklist threshold).
+* :func:`format_sweep` renders the table and the knee verdict.
+
+``axis`` arguments are duck-typed (``label``, ``larger_is_stronger``,
+``strengths``), since this package never depends on the design layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.report import format_table
-from ..core.parameters import (
-    BlacklistConfig,
-    DetectionAlgorithmConfig,
-    GatewayScanConfig,
-    ImmunizationConfig,
-    MonitoringConfig,
-    ResponseConfig,
-    ScenarioConfig,
-    UserEducationConfig,
-)
-from ..core.cache import ResultCache
-from ..core.scenarios import baseline_scenario
-from ..core.simulation import ReplicationSet
-from .scheduler import ReplicationJob, ReplicationScheduler
-
-#: Builds a response config from one scalar strength value.
-StrengthToConfig = Callable[[float], ResponseConfig]
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One mechanism-strength sweep."""
-
-    #: Identifier, e.g. ``"scan_delay"``.
-    sweep_id: str
-    #: Human description of the strength axis.
-    strength_label: str
-    #: Whether *larger* strength values mean a *stronger* response.
-    larger_is_stronger: bool
-    #: The grid of strength values to simulate.
-    strengths: Tuple[float, ...]
-    #: Builds the response config for one strength value.
-    build: StrengthToConfig
-    #: The base scenario the mechanism is applied to.
-    base_scenario: ScenarioConfig
-
-    def __post_init__(self) -> None:
-        if len(self.strengths) < 3:
-            raise ValueError(
-                f"sweep {self.sweep_id!r} needs >= 3 strengths for knee analysis"
-            )
-
-
-@dataclass
-class SweepResult:
-    """Outcome of one strength sweep."""
-
-    spec: SweepSpec
-    strengths: List[float]
-    final_infected: List[float]
-    baseline_infected: float
-    replications: int
-
-    def containment(self) -> List[float]:
-        """Final infections as a fraction of the baseline, per strength."""
-        if self.baseline_infected <= 0:
-            return [1.0 for _ in self.final_infected]
-        return [v / self.baseline_infected for v in self.final_infected]
-
-    def benefit(self) -> List[float]:
-        """Infections *prevented* relative to baseline, per strength."""
-        return [max(0.0, self.baseline_infected - v) for v in self.final_infected]
-
-    def knee(self) -> Optional[float]:
-        """Strength at the diminishing-returns knee (``None`` if flat)."""
-        xs = list(self.strengths)
-        ys = self.benefit()
-        if not self.spec.larger_is_stronger:
-            # Re-orient so benefit is non-decreasing left to right.
-            xs = list(reversed(xs))
-            ys = list(reversed(ys))
-        index = knee_point(xs, ys)
-        if index is None:
-            return None
-        return xs[index]
-
-    def format(self) -> str:
-        """Render the sweep as a table plus the knee verdict."""
-        rows = []
-        for strength, final, fraction in zip(
-            self.strengths, self.final_infected, self.containment()
-        ):
-            rows.append([f"{strength:g}", f"{final:.1f}", f"{fraction:.1%}"])
-        table = format_table(
-            [self.spec.strength_label, "final infected", "vs baseline"],
-            rows,
-            title=f"sweep {self.spec.sweep_id}: baseline {self.baseline_infected:.1f}",
-        )
-        knee = self.knee()
-        verdict = (
-            f"diminishing-returns knee at {self.spec.strength_label} ≈ {knee:g}"
-            if knee is not None
-            else "no knee found (benefit curve is flat)"
-        )
-        return f"{table}\n{verdict}"
+from .spec import ExperimentResult
 
 
 def knee_point(xs: Sequence[float], ys: Sequence[float]) -> Optional[int]:
@@ -147,122 +54,49 @@ def knee_point(xs: Sequence[float], ys: Sequence[float]) -> Optional[int]:
     return index
 
 
-def run_strength_sweep(
-    spec: SweepSpec,
-    replications: int = 2,
-    seed: int = 0,
-    processes: int = 1,
-    cache: Optional[ResultCache] = None,
-    scheduler: Optional[ReplicationScheduler] = None,
-) -> SweepResult:
-    """Simulate the sweep grid plus the baseline.
+def sweep_finals(result: ExperimentResult) -> Tuple[float, List[float]]:
+    """Mean final infections: the baseline, then one per strength."""
+    finals = [rs.final_summary().mean for rs in result.series_results.values()]
+    return finals[0], finals[1:]
 
-    The baseline and every strength point flatten into *one* job list on
-    one :class:`~repro.experiments.scheduler.ReplicationScheduler`, so the
-    whole grid shares a worker pool and the result cache skips any
-    strength points already computed by an earlier run.
 
-    Passing ``scheduler`` reuses a caller-owned scheduler (its pool,
-    cache, and telemetry registry); ``processes``/``cache`` are ignored
-    then and the caller keeps responsibility for closing it.
-    """
-    scenarios = [spec.base_scenario]
-    for strength in spec.strengths:
-        scenarios.append(
-            spec.base_scenario.with_responses(
-                spec.build(strength), suffix=f"{spec.sweep_id}={strength:g}"
-            )
-        )
-    jobs = [
-        ReplicationJob(config=scenario, seed=seed, replication=index)
-        for scenario in scenarios
-        for index in range(replications)
+def sweep_knee(axis: Any, result: ExperimentResult) -> Optional[float]:
+    """Strength at the diminishing-returns knee (``None`` if flat)."""
+    baseline, finals = sweep_finals(result)
+    xs = list(axis.strengths)
+    # Infections prevented relative to the baseline, per strength.
+    ys = [max(0.0, baseline - final) for final in finals]
+    if not axis.larger_is_stronger:
+        # Re-orient so benefit is non-decreasing left to right.
+        xs.reverse()
+        ys.reverse()
+    index = knee_point(xs, ys)
+    return None if index is None else xs[index]
+
+
+def format_sweep(axis: Any, result: ExperimentResult) -> str:
+    """Render the sweep as a table plus the knee verdict."""
+    baseline, finals = sweep_finals(result)
+    rows = [
+        [
+            f"{strength:g}",
+            f"{final:.1f}",
+            f"{final / baseline if baseline > 0 else 1.0:.1%}",
+        ]
+        for strength, final in zip(axis.strengths, finals)
     ]
-    if scheduler is not None:
-        results = scheduler.run_jobs(jobs)
-    else:
-        with ReplicationScheduler(processes=processes, cache=cache) as sched:
-            results = sched.run_jobs(jobs)
-    result_sets = [
-        ReplicationSet(
-            config=scenario,
-            results=results[k * replications : (k + 1) * replications],
-        )
-        for k, scenario in enumerate(scenarios)
-    ]
-    return SweepResult(
-        spec=spec,
-        strengths=list(spec.strengths),
-        final_infected=[rs.final_summary().mean for rs in result_sets[1:]],
-        baseline_infected=result_sets[0].final_summary().mean,
-        replications=replications,
+    table = format_table(
+        [axis.label, "final infected", "vs baseline"],
+        rows,
+        title=f"sweep {result.spec.experiment_id}: baseline {baseline:.1f}",
     )
+    knee = sweep_knee(axis, result)
+    verdict = (
+        f"diminishing-returns knee at {axis.label} ≈ {knee:g}"
+        if knee is not None
+        else "no knee found (benefit curve is flat)"
+    )
+    return f"{table}\n{verdict}"
 
 
-def _standard_sweeps() -> Dict[str, SweepSpec]:
-    return {
-        "scan_delay": SweepSpec(
-            sweep_id="scan_delay",
-            strength_label="activation delay (h)",
-            larger_is_stronger=False,
-            strengths=(1.0, 3.0, 6.0, 12.0, 24.0, 48.0, 96.0),
-            build=lambda v: GatewayScanConfig(activation_delay=v),
-            base_scenario=baseline_scenario(1),
-        ),
-        "detection_accuracy": SweepSpec(
-            sweep_id="detection_accuracy",
-            strength_label="accuracy",
-            larger_is_stronger=True,
-            strengths=(0.5, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99),
-            build=lambda v: DetectionAlgorithmConfig(accuracy=v),
-            base_scenario=baseline_scenario(2),
-        ),
-        "education_scale": SweepSpec(
-            sweep_id="education_scale",
-            strength_label="acceptance scale",
-            larger_is_stronger=False,
-            strengths=(0.125, 0.25, 0.5, 0.75, 1.0),
-            build=lambda v: UserEducationConfig(acceptance_scale=v),
-            base_scenario=baseline_scenario(1),
-        ),
-        "patch_deployment": SweepSpec(
-            sweep_id="patch_deployment",
-            strength_label="deployment window (h)",
-            larger_is_stronger=False,
-            strengths=(0.5, 1.0, 3.0, 6.0, 12.0, 24.0, 48.0),
-            build=lambda v: ImmunizationConfig(
-                development_time=24.0, deployment_window=v
-            ),
-            base_scenario=baseline_scenario(4),
-        ),
-        "monitoring_wait": SweepSpec(
-            sweep_id="monitoring_wait",
-            strength_label="forced wait (h)",
-            larger_is_stronger=True,
-            strengths=(0.05, 0.125, 0.25, 0.5, 1.0, 2.0),
-            build=lambda v: MonitoringConfig(forced_wait=v),
-            base_scenario=baseline_scenario(3),
-        ),
-        "blacklist_threshold": SweepSpec(
-            sweep_id="blacklist_threshold",
-            strength_label="threshold (messages)",
-            larger_is_stronger=False,
-            strengths=(5.0, 10.0, 20.0, 30.0, 40.0, 60.0),
-            build=lambda v: BlacklistConfig(threshold=int(v)),
-            base_scenario=baseline_scenario(3),
-        ),
-    }
-
-
-#: One pre-defined sweep per response mechanism (paper §5.3 analysis).
-STANDARD_SWEEPS: Dict[str, SweepSpec] = _standard_sweeps()
-
-
-__all__ = [
-    "SweepSpec",
-    "SweepResult",
-    "StrengthToConfig",
-    "knee_point",
-    "run_strength_sweep",
-    "STANDARD_SWEEPS",
-]
+__all__ = ["knee_point", "sweep_finals", "sweep_knee", "format_sweep"]

@@ -362,6 +362,45 @@ def test_cli_design_unknown_spec_exits_2(capsys):
     assert "fig1" in err
 
 
+def _bad_document(design=None, virus=3, extra_factors=()):
+    return {
+        "design": {"id": "bad", **(design or {})},
+        "factor": [
+            {"name": "virus", "levels": [virus]},
+            {"name": "population", "levels": [100]},
+            {"name": "duration", "levels": [2.0]},
+            *extra_factors,
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (_bad_document({"engine": "bogus"}), "engine must be one of"),
+        (_bad_document(virus=9), "virus number"),
+        (_bad_document({"replications": "many"}), "replications"),
+        (
+            _bad_document(extra_factors=[{"name": "af", "levels": ["high"]}]),
+            "'af'",
+        ),
+        (_bad_document({"replications": 0}), "replications"),
+    ],
+    ids=["engine", "virus", "replications-text", "af-text", "replications-zero"],
+)
+@pytest.mark.parametrize("command", ["show", "compile", "run"])
+def test_cli_design_bad_document_exits_2(tmp_path, capsys, document, message, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    argv = ["design", command, str(path)]
+    if command == "run":
+        argv += ["--no-cache", "--no-chart"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # -- CLI ---------------------------------------------------------------------
 
 

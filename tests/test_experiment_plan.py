@@ -20,7 +20,8 @@ import pytest
 from repro.core.cache import result_key
 from repro.core.serialization import result_to_dict
 from repro.design import ExperimentDesign, Factor, compile_design, cross
-from repro.experiments import ReplicationScheduler, run_experiment
+from repro.design.library import get_experiment
+from repro.experiments import ReplicationScheduler, plan_experiment, run_experiment
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -109,3 +110,44 @@ def test_every_path_keeps_the_engine_and_seed_factors(factored_design, monkeypat
         engine, seed = label.split("-seed")
         assert replication_set.config.engine == engine
         assert [r.seed for r in replication_set.results] == [int(seed)]
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "figure_id, sweep_id",
+    [
+        ("fig2", "scan_delay"),
+        ("fig3", "detection_accuracy"),
+        ("fig4", "education_scale"),
+        ("fig5", "patch_deployment"),
+        ("fig6", "monitoring_wait"),
+        ("fig7", "blacklist_threshold"),
+    ],
+)
+def test_a_sweep_shares_its_figure_baseline_in_one_batch(
+    figure_id, sweep_id, monkeypatch
+):
+    """A sweep is a planned design: batched with its figure, the shared
+    baseline replications are scheduled once, and the sweep's plan
+    carries a manifest ``design`` record."""
+    specs = [get_experiment(figure_id), get_experiment(sweep_id)]
+    plans = [plan_experiment(spec, replications=2, seed=0) for spec in specs]
+    figure_keys, sweep_keys = (set(plan.job_keys()) for plan in plans)
+    shared = figure_keys & sweep_keys
+    assert len(shared) == 2
+    assert plans[1].manifest_section() is not None
+
+    def run_jobs(self, jobs):
+        raise _Captured([result_key(j.config, j.seed, j.replication) for j in jobs])
+
+    monkeypatch.setattr(ReplicationScheduler, "run_jobs", run_jobs)
+    with ReplicationScheduler() as scheduler:
+        with pytest.raises(_Captured) as captured:
+            scheduler.run_batch(specs, replications=2, seed=0)
+        sections = scheduler.design_sections
+    keys = captured.value.args[0]
+    assert len(keys) == len(set(keys)) == len(figure_keys | sweep_keys)
+    assert [section["experiment"] for section in sections] == [figure_id, sweep_id]

@@ -4,19 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    GatewayScanConfig,
-    NetworkParameters,
-    ScenarioConfig,
-    UserEducationConfig,
-    UserParameters,
-    VirusParameters,
+from repro.core import UserEducationConfig
+from repro.design.library import (
+    SWEEP_AXES,
+    SweepAxis,
+    design_strength_sweep,
+    get_design,
 )
+from repro.design.model import Factor, Level
+from repro.experiments import run_experiment
 from repro.experiments.sensitivity import (
-    STANDARD_SWEEPS,
-    SweepSpec,
+    format_sweep,
     knee_point,
-    run_strength_sweep,
+    sweep_finals,
+    sweep_knee,
 )
 
 
@@ -43,52 +44,59 @@ class TestKneePoint:
             knee_point([0, 1, 2], [0, 1])
 
 
-def tiny_sweep() -> SweepSpec:
-    network = NetworkParameters(population=150, mean_contact_list_size=15.0)
-    virus = VirusParameters(
-        name="tiny", min_send_interval=0.05, extra_send_delay_mean=0.05
+TINY_AXIS = SweepAxis(
+    virus=3,
+    label="acceptance scale",
+    larger_is_stronger=False,
+    strengths=(0.1, 0.5, 1.0),
+    response=lambda v: UserEducationConfig(acceptance_scale=v),
+)
+
+
+def tiny_sweep(axis: SweepAxis = TINY_AXIS):
+    """Virus 3 education sweep on 150 phones over 6 hours."""
+    return design_strength_sweep(
+        "tiny_education",
+        axis,
+        Factor("population", (Level("", 150),)),
+        Factor("duration", (Level("", 6.0),)),
     )
-    base = ScenarioConfig(
-        name="tiny-base", virus=virus, network=network,
-        user=UserParameters(read_delay_mean=0.2), duration=24.0,
-    )
-    return SweepSpec(
-        sweep_id="tiny_education",
-        strength_label="acceptance scale",
-        larger_is_stronger=False,
-        strengths=(0.1, 0.5, 1.0),
-        build=lambda v: UserEducationConfig(acceptance_scale=v),
-        base_scenario=base,
+
+
+def run_tiny(replications: int, seed: int):
+    return run_experiment(
+        tiny_sweep().to_spec(), replications=replications, seed=seed
     )
 
 
 class TestRunSweep:
     def test_sweep_runs_and_orders(self):
-        result = run_strength_sweep(tiny_sweep(), replications=2, seed=1)
-        assert len(result.final_infected) == 3
+        result = run_tiny(replications=2, seed=1)
+        baseline, finals = sweep_finals(result)
+        assert len(finals) == 3
         # Stronger education (smaller scale) => fewer infections.
-        assert result.final_infected[0] < result.final_infected[2]
-        containment = result.containment()
+        assert finals[0] < finals[2]
+        containment = [final / baseline for final in finals]
         assert all(0.0 <= c <= 1.3 for c in containment)
-        benefit = result.benefit()
+        benefit = [max(0.0, baseline - final) for final in finals]
         assert benefit[0] >= benefit[2]
+        assert sweep_knee(TINY_AXIS, result) in TINY_AXIS.strengths + (None,)
 
     def test_format_contains_table_and_verdict(self):
-        result = run_strength_sweep(tiny_sweep(), replications=1, seed=1)
-        text = result.format()
+        text = format_sweep(TINY_AXIS, run_tiny(replications=1, seed=1))
         assert "acceptance scale" in text
         assert "baseline" in text
         assert ("knee" in text) or ("flat" in text)
 
     def test_reproducible(self):
-        a = run_strength_sweep(tiny_sweep(), replications=1, seed=3)
-        b = run_strength_sweep(tiny_sweep(), replications=1, seed=3)
-        assert a.final_infected == b.final_infected
+        a = sweep_finals(run_tiny(replications=1, seed=3))
+        b = sweep_finals(run_tiny(replications=1, seed=3))
+        assert a == b
 
 
 class TestStandardSweeps:
     def test_all_mechanisms_covered(self):
-        assert set(STANDARD_SWEEPS) == {
+        assert set(SWEEP_AXES) == {
             "scan_delay",
             "detection_accuracy",
             "education_scale",
@@ -98,20 +106,18 @@ class TestStandardSweeps:
         }
 
     def test_specs_wellformed(self):
-        for sweep_id, spec in STANDARD_SWEEPS.items():
-            assert spec.sweep_id == sweep_id
-            assert len(spec.strengths) >= 3
-            config = spec.build(spec.strengths[0])
-            assert config is not None
+        for sweep_id, axis in SWEEP_AXES.items():
+            spec = get_design(sweep_id).to_spec()
+            assert spec.experiment_id == sweep_id
+            assert len(axis.strengths) >= 3
+            labels = [series.label for series in spec.series]
+            assert labels == ["baseline"] + [
+                f"{sweep_id}={v:g}" for v in axis.strengths
+            ]
+            assert spec.series[1].scenario.responses == (
+                axis.response(axis.strengths[0]),
+            )
 
     def test_sweep_requires_three_strengths(self):
-        spec = tiny_sweep()
         with pytest.raises(ValueError):
-            SweepSpec(
-                sweep_id="x",
-                strength_label="y",
-                larger_is_stronger=True,
-                strengths=(1.0, 2.0),
-                build=spec.build,
-                base_scenario=spec.base_scenario,
-            )
+            tiny_sweep(TINY_AXIS._replace(strengths=(1.0, 2.0)))
