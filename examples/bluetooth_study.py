@@ -9,26 +9,19 @@ in two parts:
 1. **Defense blind spots** — a pure Bluetooth worm in the core model:
    gateway scanning and blacklisting see no MMS traffic, so only user
    education and immunization remain effective.
-2. **Mobility matters** — using the mobility substrate, the same worm is
-   run under random mixing (fast movement) and spatially constrained
-   random-waypoint movement at two densities, showing how locality slows
-   a proximity virus.  Consent here follows the corrected semantics:
-   *every* received offer advances a phone's ``AF/2^n`` decay counter,
-   even when the recipient is already infected or immune — exactly like
-   the core model's ``_receive``.
-3. **Same story at scale** — the identical comparison on the xl engine's
-   vectorized Bluetooth channel: random mixing vs the waypoint grid
-   (``MobilityParameters``), at 20x the population.
+2. **Mobility matters** — the same worm on the xl engine's vectorized
+   Bluetooth channel, once under random mixing (fast movement, the core
+   model's assumption) and once on the random-waypoint grid
+   (``MobilityParameters``) at two densities, showing how locality slows
+   a proximity virus.
 
-Both mobility parts assert that locality slows the spread; the script
-exits non-zero if that ordering ever breaks.
+Part 2 asserts that locality slows the spread; the script exits non-zero
+if that ordering ever breaks.
 
-Run:  python examples/bluetooth_study.py          (~1 minute)
+Run:  python examples/bluetooth_study.py          (a few seconds)
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.analysis import format_table
 from repro.core import (
@@ -41,13 +34,6 @@ from repro.core import (
     UserParameters,
     VirusParameters,
     run_scenario,
-)
-from repro.core.user import PAPER_ACCEPTANCE_FACTOR, acceptance_probability
-from repro.mobility import (
-    ProximityEncounterProcess,
-    RandomMixingEncounters,
-    WaypointMobility,
-    simulate_proximity_outbreak,
 )
 
 
@@ -89,72 +75,7 @@ def part_one_defense_blind_spots() -> None:
     )
 
 
-def part_two_mobility() -> None:
-    population = 120
-    seed = 29
-    horizon = 48.0
-
-    def consent(times_offered: int) -> float:
-        return acceptance_probability(PAPER_ACCEPTANCE_FACTOR, times_offered)
-
-    regimes = {}
-    regimes["random mixing"] = RandomMixingEncounters(
-        population, np.random.default_rng(seed)
-    )
-    arenas = [("dense city (1 km²)", 1000.0), ("sparse town (3 km²)", 3000.0)]
-    for index, (label, arena) in enumerate(arenas):
-        mobility = WaypointMobility(
-            num_phones=population,
-            arena_size=arena,
-            speed_range=(1000.0, 5000.0),  # 1-5 km/h in metres/hour
-            pause_range=(0.0, 1.0),
-            rng=np.random.default_rng(seed + 100 + index),
-        )
-        regimes[label] = ProximityEncounterProcess(
-            mobility, bluetooth_radius=100.0, rng=np.random.default_rng(seed)
-        )
-
-    rows = []
-    finals = {}
-    for label, encounters in regimes.items():
-        times = simulate_proximity_outbreak(
-            encounters,
-            susceptible=[True] * population,
-            patient_zero=0,
-            attempt_rate=2.0,
-            acceptance_probability_fn=consent,
-            horizon=horizon,
-            rng=np.random.default_rng(seed),
-        )
-        availability = (
-            f"{encounters.contact_availability():.0%}"
-            if isinstance(encounters, ProximityEncounterProcess)
-            else "100%"
-        )
-        finals[label] = len(times)
-        rows.append([label, len(times), availability])
-    print(
-        format_table(
-            ["mobility regime", "infected by 48 h", "encounter success"],
-            rows,
-            title=f"Part 2 — mobility constrains a proximity worm "
-            f"({population} phones, Bluetooth range 100 m)",
-        )
-    )
-    assert finals["sparse town (3 km²)"] <= finals["random mixing"], (
-        "locality should slow the outbreak: sparse waypoint movement "
-        f"infected {finals['sparse town (3 km²)']} phones vs "
-        f"{finals['random mixing']} under random mixing"
-    )
-    print(
-        "Reading: random mixing is the worst case the core model's "
-        "bluetooth_rate channel assumes; real spatial movement lowers the "
-        "fraction of transfer attempts that find a partner and slows the "
-        "outbreak accordingly.\n"
-    )
-
-
-def part_three_xl_channel() -> None:
+def part_two_xl_channel() -> None:
     population = 2500
     seed = 37
     worm = VirusParameters(
@@ -197,28 +118,26 @@ def part_three_xl_channel() -> None:
         format_table(
             ["partner sampling", "infected by 48 h"],
             rows,
-            title=f"Part 3 — the same comparison on the xl engine "
+            title=f"Part 2 — mobility constrains a proximity worm "
             f"({population} phones, vectorized Bluetooth channel)",
         )
     )
     assert finals["sparse grid (3 km²)"] <= finals["random mixing"], (
-        "locality should slow the outbreak on the xl engine too: "
+        "locality should slow the outbreak: "
         f"sparse grid infected {finals['sparse grid (3 km²)']} phones vs "
         f"{finals['random mixing']} under random mixing"
     )
     print(
-        "Reading: the xl engine reproduces the mobility story at scale — "
-        "without mobility parameters its Bluetooth channel is random "
-        "mixing (the core model's assumption); with the waypoint grid, "
-        "encounters that find nobody within Bluetooth radius fizzle, and "
-        "the sparser the arena the slower the spread."
+        "Reading: without mobility parameters the xl Bluetooth channel "
+        "is random mixing (the core model's assumption); with the "
+        "waypoint grid, encounters that find nobody within Bluetooth "
+        "radius fizzle, and the sparser the arena the slower the spread."
     )
 
 
 def main() -> None:
     part_one_defense_blind_spots()
-    part_two_mobility()
-    part_three_xl_channel()
+    part_two_xl_channel()
 
 
 if __name__ == "__main__":

@@ -202,6 +202,30 @@ def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def add_daemon_args(parser: argparse.ArgumentParser) -> None:
+    """Campaign-daemon flags (``repro-sim serve``, ``python -m repro.service``)."""
+    parser.add_argument(
+        "--spool", required=True,
+        help="spool directory (journal, cache, checkpoints, results, logs)",
+    )
+    parser.add_argument(
+        "--socket", default=None,
+        help="Unix socket path (default: <spool>/daemon.sock)",
+    )
+    parser.add_argument(
+        "--shards", type=positive_int, default=2,
+        help="shard worker processes",
+    )
+    parser.add_argument(
+        "--max-queue-depth", type=int, default=8,
+        help="queued campaigns before submissions are shed with retry_after",
+    )
+    parser.add_argument(
+        "--heartbeat-timeout", type=positive_float, default=30.0,
+        help="seconds of shard heartbeat silence before a respawn",
+    )
+
+
 def _make_scheduler(
     args: argparse.Namespace, label: str = ""
 ) -> ReplicationScheduler:
@@ -528,24 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the campaign daemon (durable queue, sharded execution, "
         "Unix-socket job API; see repro.service)",
     )
-    serve_parser.add_argument(
-        "--spool", required=True,
-        help="spool directory (journal, cache, checkpoints, results, logs)",
-    )
-    serve_parser.add_argument(
-        "--socket", default=None,
-        help="Unix socket path (default: <spool>/daemon.sock)",
-    )
-    serve_parser.add_argument("--shards", type=positive_int, default=2,
-                              help="shard worker processes")
-    serve_parser.add_argument(
-        "--max-queue-depth", type=int, default=8,
-        help="queued campaigns before submissions are shed with retry_after",
-    )
-    serve_parser.add_argument(
-        "--heartbeat-timeout", type=positive_float, default=30.0,
-        help="seconds of shard heartbeat silence before a respawn",
-    )
+    add_daemon_args(serve_parser)
 
     submit_parser = subparsers.add_parser(
         "submit", help="submit a design document to a running campaign daemon"

@@ -14,12 +14,9 @@ from .queue import EventQueue
 from .random import (
     Deterministic,
     Distribution,
-    Empirical,
     Exponential,
-    LogNormal,
     ShiftedExponential,
     StreamFactory,
-    Uniform,
     as_distribution,
 )
 from .simulator import SimulationError, Simulator
@@ -37,10 +34,7 @@ __all__ = [
     "Distribution",
     "Deterministic",
     "Exponential",
-    "Uniform",
     "ShiftedExponential",
-    "LogNormal",
-    "Empirical",
     "as_distribution",
     "Tracer",
     "TraceRecord",

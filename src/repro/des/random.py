@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
@@ -140,28 +140,6 @@ class Exponential(Distribution):
 
 
 @dataclass(frozen=True)
-class Uniform(Distribution):
-    """Continuous uniform distribution on ``[low, high]``."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not self.low <= self.high:
-            raise ValueError(f"Uniform requires low <= high, got [{self.low}, {self.high}]")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=n)
-
-
-@dataclass(frozen=True)
 class ShiftedExponential(Distribution):
     """``shift + Exponential(extra_mean)``.
 
@@ -195,80 +173,6 @@ class ShiftedExponential(Distribution):
         return self.shift + rng.exponential(self.extra_mean, size=n)
 
 
-@dataclass(frozen=True)
-class LogNormal(Distribution):
-    """Log-normal distribution parameterised by its mean and coefficient of variation."""
-
-    mean_value: float
-    cv: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mean_value <= 0:
-            raise ValueError(f"LogNormal mean must be > 0, got {self.mean_value}")
-        if self.cv <= 0:
-            raise ValueError(f"LogNormal cv must be > 0, got {self.cv}")
-
-    def _mu_sigma(self) -> Tuple[float, float]:
-        sigma2 = math.log(1.0 + self.cv**2)
-        mu = math.log(self.mean_value) - 0.5 * sigma2
-        return mu, math.sqrt(sigma2)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        mu, sigma = self._mu_sigma()
-        return float(rng.lognormal(mu, sigma))
-
-    @property
-    def mean(self) -> float:
-        return self.mean_value
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        mu, sigma = self._mu_sigma()
-        return rng.lognormal(mu, sigma, size=n)
-
-
-@dataclass(frozen=True)
-class Empirical(Distribution):
-    """Discrete empirical distribution over ``values`` with ``weights``."""
-
-    values: Tuple[float, ...]
-    weights: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) == 0:
-            raise ValueError("Empirical requires at least one value")
-        if len(self.values) != len(self.weights):
-            raise ValueError("values and weights must have the same length")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
-        total = sum(self.weights)
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-
-    @staticmethod
-    def of(values: Iterable[float], weights: Optional[Iterable[float]] = None) -> "Empirical":
-        """Build from iterables; uniform weights when ``weights`` is None."""
-        vals = tuple(float(v) for v in values)
-        if weights is None:
-            wts = tuple(1.0 for _ in vals)
-        else:
-            wts = tuple(float(w) for w in weights)
-        return Empirical(vals, wts)
-
-    def _probs(self) -> np.ndarray:
-        w = np.asarray(self.weights, dtype=float)
-        return w / w.sum()
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.choice(np.asarray(self.values), p=self._probs()))
-
-    @property
-    def mean(self) -> float:
-        return float(np.dot(np.asarray(self.values), self._probs()))
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(np.asarray(self.values), size=n, p=self._probs())
-
-
 def as_distribution(value: Union[Distribution, float, int]) -> Distribution:
     """Coerce a bare number into a :class:`Deterministic` distribution."""
     if isinstance(value, Distribution):
@@ -283,9 +187,6 @@ __all__ = [
     "Distribution",
     "Deterministic",
     "Exponential",
-    "Uniform",
     "ShiftedExponential",
-    "LogNormal",
-    "Empirical",
     "as_distribution",
 ]

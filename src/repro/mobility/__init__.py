@@ -2,27 +2,12 @@
 
 The paper's conclusion proposes extending the study to viruses "that
 spread using the Bluetooth interface on a phone"; Bluetooth needs
-co-location, so this subpackage provides a random-waypoint mobility model
-and proximity-encounter processes over it, plus a random-mixing control
-(the fast-mobility limit used by the core model's ``bluetooth_rate``
-channel).
+co-location, so this subpackage provides a vectorised random-waypoint
+field and a spatial-hash grid over it.  The xl engine samples its
+Bluetooth partners from the grid when a scenario carries
+``MobilityParameters``; without them the channel is random mixing.
 """
 
-from .encounters import (
-    ProximityEncounterProcess,
-    RandomMixingEncounters,
-    simulate_proximity_outbreak,
-)
 from .grid import GridSnapshot, GridWaypointField, brute_force_neighbors
-from .waypoint import Leg, WaypointMobility
 
-__all__ = [
-    "WaypointMobility",
-    "Leg",
-    "GridSnapshot",
-    "GridWaypointField",
-    "brute_force_neighbors",
-    "ProximityEncounterProcess",
-    "RandomMixingEncounters",
-    "simulate_proximity_outbreak",
-]
+__all__ = ["GridSnapshot", "GridWaypointField", "brute_force_neighbors"]

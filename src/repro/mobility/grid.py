@@ -1,10 +1,10 @@
 """Vectorized random-waypoint mobility with grid-bucketed neighbor lookup.
 
-:class:`~repro.mobility.waypoint.WaypointMobility` keeps one Python
-``Leg`` object per phone and answers range queries by scanning the whole
-population — fine for the few-hundred-phone Bluetooth example, hopeless
-at the xl engine's N=100k+.  This module re-expresses the same model as
-flat NumPy arrays:
+The random-waypoint model: each phone pauses at its origin, travels to a
+uniform waypoint in a square arena at a uniform-random speed, and
+repeats.  Positions are interpolated analytically, so no per-tick
+stepping exists.  The xl engine needs the model at N=100k+, so it is
+held as flat NumPy arrays:
 
 * :class:`GridWaypointField` holds the leg state (origin, target,
   departure, arrival, speed) for the entire population and advances /
@@ -18,11 +18,9 @@ flat NumPy arrays:
   encounter) and exact neighbor queries without ever touching the full
   population.
 
-Semantics match the reference model: a phone pauses at its origin,
-travels to a uniform waypoint at a uniform-random speed, and repeats;
-positions are interpolated analytically, so no per-tick stepping exists.
-``GridSnapshot.neighbors_within`` is validated against the brute-force
-``WaypointMobility.neighbors_within`` by a Hypothesis property test.
+``GridSnapshot.neighbors_within`` is checked against
+:func:`brute_force_neighbors`, an all-pairs scan, by a Hypothesis
+property test.
 """
 
 from __future__ import annotations
@@ -148,10 +146,9 @@ class GridSnapshot:
 class GridWaypointField:
     """Array-backed random-waypoint state for a whole population.
 
-    Same model as :class:`~repro.mobility.waypoint.WaypointMobility`
-    (pause at the origin, travel to a uniform waypoint at uniform-random
-    speed, repeat) but with all legs held in flat arrays and advanced in
-    bulk.  Queries must be (weakly) time-monotone, like the reference.
+    Each phone pauses at its origin, travels to a uniform waypoint at a
+    uniform-random speed, and repeats; all legs are held in flat arrays
+    and advanced in bulk.  Queries must be (weakly) time-monotone.
     """
 
     def __init__(

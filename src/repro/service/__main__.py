@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
-from ..cli import positive_float, positive_int
+from ..cli import add_daemon_args
 from .daemon import CampaignDaemon
 
 
@@ -30,31 +30,13 @@ def parse_kill_shard(values: List[str]) -> Dict[int, int]:
     return hooks
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The daemon's flags plus the two fault hooks."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description="Run the repro campaign daemon.",
     )
-    parser.add_argument(
-        "--spool", required=True,
-        help="spool directory (journal, cache, checkpoints, results, logs)",
-    )
-    parser.add_argument(
-        "--socket", default=None,
-        help="Unix socket path (default: <spool>/daemon.sock)",
-    )
-    parser.add_argument(
-        "--shards", type=positive_int, default=2,
-        help="shard worker processes",
-    )
-    parser.add_argument(
-        "--max-queue-depth", type=int, default=8,
-        help="queued campaigns before submissions are shed",
-    )
-    parser.add_argument(
-        "--heartbeat-timeout", type=positive_float, default=30.0,
-        help="seconds of heartbeat silence before a shard is respawned",
-    )
+    add_daemon_args(parser)
     parser.add_argument(
         "--kill-shard", action="append", default=[], metavar="SHARD:AFTER",
         help="fault hook: crash shard SHARD after AFTER tasks (repeatable)",
@@ -63,7 +45,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--fault-kill-after", type=int, default=None, metavar="N",
         help="fault hook: SIGKILL the daemon after recording N results",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
 
     daemon = CampaignDaemon(
         spool=args.spool,

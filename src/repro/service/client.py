@@ -71,32 +71,6 @@ class ServiceClient:
             raise ServiceError(response.get("error", "submit failed"))
         return response
 
-    def submit_blocking(
-        self,
-        design: Dict[str, Any],
-        replications: Optional[int] = None,
-        seed: int = 0,
-        priority: int = 0,
-        max_wait: float = 300.0,
-    ) -> Dict[str, Any]:
-        """Submit, honoring ``retry_after`` back-pressure up to ``max_wait``."""
-        import time
-
-        deadline = time.time() + max_wait
-        while True:
-            response = self.submit(
-                design, replications=replications, seed=seed, priority=priority
-            )
-            if response.get("ok"):
-                return response
-            retry_after = float(response.get("retry_after", 1.0))
-            if time.time() + retry_after > deadline:
-                raise ServiceError(
-                    f"queue stayed full for {max_wait}s "
-                    f"({response.get('error')})"
-                )
-            time.sleep(retry_after)
-
     def status(self, campaign_id: Optional[str] = None) -> Dict[str, Any]:
         message: Dict[str, Any] = {"op": "status"}
         if campaign_id is not None:

@@ -7,12 +7,9 @@ import pytest
 
 from repro.des.random import (
     Deterministic,
-    Empirical,
     Exponential,
-    LogNormal,
     ShiftedExponential,
     StreamFactory,
-    Uniform,
     as_distribution,
 )
 
@@ -87,17 +84,6 @@ class TestDistributions:
         with pytest.raises(ValueError):
             Exponential(0.0)
 
-    def test_uniform(self):
-        dist = Uniform(1.0, 3.0)
-        samples = dist.sample_many(self.rng, 10000)
-        assert np.all((samples >= 1.0) & (samples <= 3.0))
-        assert abs(samples.mean() - 2.0) < 0.05
-        assert dist.mean == 2.0
-
-    def test_uniform_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            Uniform(3.0, 1.0)
-
     def test_shifted_exponential_respects_minimum(self):
         dist = ShiftedExponential(0.5, 0.25)
         samples = dist.sample_many(self.rng, 10000)
@@ -115,33 +101,6 @@ class TestDistributions:
             ShiftedExponential(-1.0, 0.5)
         with pytest.raises(ValueError):
             ShiftedExponential(1.0, -0.5)
-
-    def test_lognormal_mean(self):
-        dist = LogNormal(2.0, cv=0.5)
-        samples = dist.sample_many(self.rng, 50000)
-        assert abs(samples.mean() - 2.0) < 0.05
-        assert np.all(samples > 0)
-
-    def test_empirical(self):
-        dist = Empirical.of([1.0, 2.0, 4.0], [1.0, 1.0, 2.0])
-        samples = dist.sample_many(self.rng, 10000)
-        assert set(np.unique(samples)) <= {1.0, 2.0, 4.0}
-        assert abs(dist.mean - (1 + 2 + 8) / 4.0) < 1e-12
-        assert abs(samples.mean() - dist.mean) < 0.1
-
-    def test_empirical_uniform_weights(self):
-        dist = Empirical.of([5.0, 7.0])
-        assert dist.mean == 6.0
-
-    def test_empirical_validation(self):
-        with pytest.raises(ValueError):
-            Empirical.of([])
-        with pytest.raises(ValueError):
-            Empirical((1.0,), (1.0, 2.0))
-        with pytest.raises(ValueError):
-            Empirical.of([1.0], [-1.0])
-        with pytest.raises(ValueError):
-            Empirical.of([1.0], [0.0])
 
     def test_as_distribution_coerces_numbers(self):
         dist = as_distribution(4)

@@ -422,6 +422,25 @@ class TestCliOffline:
         assert "usage:" in err and flag in err
         assert not (tmp_path / "journal").exists()  # rejected before start
 
+    @pytest.mark.parametrize(
+        "flags", [[], ["--shards", "3", "--max-queue-depth", "0",
+                       "--heartbeat-timeout", "5", "--socket", "d.sock"]]
+    )
+    def test_serve_and_module_entry_share_daemon_flags(self, flags):
+        from repro.cli import build_parser
+        from repro.service.__main__ import build_parser as build_service_parser
+
+        serve = vars(build_parser().parse_args(["serve", "--spool", "s", *flags]))
+        module = vars(build_service_parser().parse_args(["--spool", "s", *flags]))
+        assert serve.pop("command") == "serve"
+        # The module entry adds only its two fault hooks.
+        assert module.pop("kill_shard") == []
+        assert module.pop("fault_kill_after") is None
+        assert serve == module
+        assert set(serve) == {
+            "spool", "socket", "shards", "max_queue_depth", "heartbeat_timeout"
+        }
+
     def test_submit_unreachable_daemon_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
