@@ -31,6 +31,7 @@ simulated plateaus and growth rates without Monte Carlo noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,57 +110,11 @@ def integrate_mean_field(
     ``dt`` is adaptive-safe at the defaults: the fastest rate in the
     system is ``mu(t) <= delivery_rate``, and the integrator refuses steps
     with ``mu*dt > 0.5`` (it subdivides instead), so the forward-Euler
-    update stays stable.
+    update stays stable.  This is :func:`integrate_delayed_response` with
+    a response that never detects, so it never activates.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-
-    strata = ACCEPTANCE_NEGLIGIBLE_AFTER + 1
-    accept = np.array(
-        [
-            acceptance_probability(parameters.acceptance_factor, n)
-            for n in range(1, strata + 1)
-        ]
-    )
-    # x[n] = susceptible phones having received n messages.  Patient zero
-    # comes out of the susceptible pool.
-    x = np.zeros(strata + 1)
-    x[0] = max(0.0, parameters.susceptible - parameters.initial_infected)
-    infected = parameters.initial_infected
-
-    steps = int(np.ceil(horizon / dt))
-    times = np.empty(steps + 1)
-    infected_series = np.empty(steps + 1)
-    susceptible_series = np.empty(steps + 1)
-    times[0] = 0.0
-    infected_series[0] = infected
-    susceptible_series[0] = x.sum()
-
-    per_phone = parameters.delivery_rate / (parameters.population - 1)
-    for step in range(1, steps + 1):
-        remaining = min(dt, horizon - times[step - 1])
-        # Subdivide so the per-substep transition probability stays small.
-        mu = per_phone * infected
-        substeps = max(1, int(np.ceil(mu * remaining / 0.5)))
-        h = remaining / substeps
-        for _ in range(substeps):
-            mu = per_phone * infected
-            flow_out = mu * x[:strata]  # arrivals to strata 0..strata-1
-            new_infections = float(np.dot(flow_out, accept))
-            advanced = flow_out * (1.0 - accept)
-            x[:strata] -= flow_out * h
-            x[1 : strata + 1] += advanced * h
-            infected += new_infections * h
-        times[step] = times[step - 1] + remaining
-        infected_series[step] = infected
-        susceptible_series[step] = x.sum()
-
-    return MeanFieldResult(
-        times=times,
-        infected=infected_series,
-        susceptible_remaining=susceptible_series,
+    return integrate_delayed_response(
+        parameters, DelayedResponseTerms(detection_level=math.inf), horizon, dt
     )
 
 
@@ -233,10 +188,10 @@ def integrate_delayed_response(
 ) -> MeanFieldResult:
     """Euler-integrate the mean-field system with one delayed response.
 
-    Extends :func:`integrate_mean_field` with an *active* infected
-    compartment ``A`` (phones still propagating): blacklist silencing
-    and patch quarantine drain ``A`` without reducing the cumulative
-    infected count ``I``, matching the simulators' accounting where an
+    The stratified system of the module docstring plus an *active*
+    infected compartment ``A`` (phones still propagating): blacklist
+    silencing and patch quarantine drain ``A`` without reducing the
+    cumulative infected count ``I``, matching the simulators' accounting where an
     infected phone stays counted after its MMS service is cut.  The
     returned ``infected`` series is cumulative ``I``.
 
@@ -259,6 +214,8 @@ def integrate_delayed_response(
             for n in range(1, strata + 1)
         ]
     )
+    # x[n] = susceptible phones having received n messages.  Patient zero
+    # comes out of the susceptible pool.
     x = np.zeros(strata + 1)
     x[0] = max(0.0, parameters.susceptible - parameters.initial_infected)
     infected = parameters.initial_infected
@@ -279,6 +236,7 @@ def integrate_delayed_response(
     now = 0.0
     for step in range(1, steps + 1):
         remaining = min(dt, horizon - times[step - 1])
+        # Subdivide so the per-substep transition probability stays small.
         mu = per_phone * active
         substeps = max(1, int(np.ceil(mu * remaining / 0.5)))
         h = remaining / substeps

@@ -217,7 +217,7 @@ def add_daemon_args(parser: argparse.ArgumentParser) -> None:
         help="shard worker processes",
     )
     parser.add_argument(
-        "--max-queue-depth", type=int, default=8,
+        "--max-queue-depth", type=_at_least(int, 0), default=8,
         help="queued campaigns before submissions are shed with retry_after",
     )
     parser.add_argument(

@@ -99,7 +99,7 @@ class MMSGateway:
             self._deliver(message)
         else:
             delay = self._delay.sample(self.rng)
-            self.sim.schedule_fast(
+            self.sim.schedule(
                 delay, lambda: self._deliver(message), label="deliver"
             )
         return True

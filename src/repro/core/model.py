@@ -27,7 +27,6 @@ from typing import Optional, Tuple
 
 from ..des.random import Distribution, StreamFactory
 from ..des.simulator import Simulator
-from ..des.trace import Tracer
 from ..obs.metrics import Metrics
 from ..topology.csr import CSRAdjacency
 # contact_network stays bound here: perfbench's tracer rebinds and
@@ -52,12 +51,11 @@ class PhoneNetworkModel:
         config: ScenarioConfig,
         streams: StreamFactory,
         graph: Optional[CSRAdjacency] = None,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[Metrics] = None,
     ) -> None:
         self.config = config
         self.streams = streams
-        self.sim = Simulator(tracer, metrics=metrics)
+        self.sim = Simulator(metrics=metrics)
         self.metrics = ModelMetrics()
         self.detection = DetectionTracker(config.detection)
 
@@ -99,7 +97,7 @@ class PhoneNetworkModel:
         # per kernel event, so each saved attribute hop is paid back tens
         # of thousands of times per replication.
         self._count = self.metrics.count
-        self._schedule_fast = self.sim.schedule_fast
+        self._schedule = self.sim.schedule
 
         # Response mechanisms attach before any event fires so that
         # detection subscriptions and acceptance scaling are in place.
@@ -185,10 +183,6 @@ class PhoneNetworkModel:
         phone.infect(now)
         self._infected_phones.append(phone)
         count = self.metrics.record_infection(now)
-        if self.sim.tracer.enabled:
-            self.sim.tracer.record(
-                now, "infect", f"phone {phone.phone_id} infected", count=count
-            )
         self.detection.note_infection_count(count, now)
         if self.config.virus.bluetooth_rate > 0:
             self._schedule_bluetooth_encounter(phone)
@@ -210,12 +204,12 @@ class PhoneNetworkModel:
             phone.start_new_period(now)
             if phone.actively_spreading and phone.pending_send is None:
                 self._schedule_send(phone, self.virus.sample_send_interval(self._virus_rng))
-        self._schedule_fast(
+        self._schedule(
             self.config.virus.limit_window, self._global_window_tick, label="window_tick"
         )
 
     def _schedule_send(self, phone: Phone, delay: float) -> None:
-        phone.pending_send = self.sim.schedule(
+        phone.pending_send = self._schedule(
             delay, lambda: self._send(phone), label="send"
         )
 
@@ -257,14 +251,6 @@ class PhoneNetworkModel:
         if invalid:
             count("invalid_dials", invalid)
 
-        if self.sim.tracer.enabled:
-            self.sim.tracer.record(
-                now,
-                "send",
-                f"phone {phone.phone_id} sent message {message.message_id}",
-                recipients=len(message.recipients),
-                invalid=message.invalid_dials,
-            )
         if self.mechanisms:
             for mechanism in self.mechanisms:
                 mechanism.on_message_sent(phone, message, now)
@@ -281,7 +267,7 @@ class PhoneNetworkModel:
         self._schedule_send(phone, interval)
 
     def _schedule_reboot(self, phone: Phone) -> None:
-        phone.pending_reboot = self.sim.schedule(
+        phone.pending_reboot = self._schedule(
             self.virus.sample_reboot_interval(self._virus_rng),
             lambda: self._reboot(phone),
             label="reboot",
@@ -304,7 +290,7 @@ class PhoneNetworkModel:
     def _schedule_bluetooth_encounter(self, phone: Phone) -> None:
         rate = self.config.virus.bluetooth_rate
         delay = float(self._virus_rng.exponential(1.0 / rate))
-        self._schedule_fast(
+        self._schedule(
             delay, lambda: self._bluetooth_encounter(phone), label="bt_encounter"
         )
 
@@ -342,7 +328,7 @@ class PhoneNetworkModel:
             if accepted:
                 self._count("attachments_accepted")
                 delay = self._read_delay.sample(self._user_rng)
-                self._schedule_fast(
+                self._schedule(
                     delay, lambda p=phone: self._install(p), label="install"
                 )
         else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from typing import Optional, Tuple
 
-from ..des.events import EventHandle
+from ..des.events import Event
 from .user import ConsentState
 
 
@@ -71,9 +71,9 @@ class Phone:
         self.propagation_stopped = False
         self.last_send_time: Optional[float] = None
         #: Handle of the next scheduled send event (cancellable).
-        self.pending_send: Optional[EventHandle] = None
+        self.pending_send: Optional[Event] = None
         #: Handle of the next scheduled reboot event (cancellable).
-        self.pending_reboot: Optional[EventHandle] = None
+        self.pending_reboot: Optional[Event] = None
         #: Round-robin cursor into the contact list (contact targeting).
         self.next_contact_index = 0
 

@@ -18,7 +18,6 @@ import numpy as np
 from ..analysis.stats import SampleSummary, summarize
 from ..analysis.timeseries import CurveBand, StepCurve, aggregate_curves, time_grid
 from ..des.random import StreamFactory
-from ..des.trace import Tracer
 from ..obs.metrics import Metrics
 from ..topology.csr import CSRAdjacency
 from .parameters import ScenarioConfig
@@ -97,32 +96,24 @@ def run_scenario(
     replication: int = 0,
     graph: Optional[CSRAdjacency] = None,
     patient_zero: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
     metrics: Optional[Metrics] = None,
 ) -> ScenarioResult:
     """Simulate one replication of ``config``.
 
     ``graph`` overrides topology sampling (useful for controlled studies
     and cross-validation); ``patient_zero`` pins the initial infection;
-    ``tracer`` attaches a :class:`~repro.des.trace.Tracer` to the kernel
-    (golden-trace recording fingerprints runs through it); ``metrics``
-    attaches a :class:`~repro.obs.metrics.Metrics` registry so the run
-    reports kernel telemetry (events fired/cancelled, heap peak, wall
-    time) without altering the result itself.
+    ``metrics`` attaches a :class:`~repro.obs.metrics.Metrics` registry
+    so the run reports kernel telemetry (events fired/cancelled, heap
+    peak, wall time) without altering the result itself.
 
     When ``config.engine`` is ``"xl"`` the run dispatches to the
     array-backed engine in :mod:`repro.xl`; results come back through
     the same :class:`ScenarioResult`, so caching, aggregation, and
-    serialization are engine-agnostic.  The xl engine has no per-event
-    kernel, so ``tracer`` is rejected there; ``metrics`` passes through
-    (with ``time_events`` it times each round phase instead).
+    serialization are engine-agnostic.  ``metrics`` passes through to the
+    xl engine (with ``time_events`` it times each round phase instead of
+    each event).
     """
     if config.engine == "xl":
-        if tracer is not None:
-            raise ValueError(
-                "event tracing is not supported on the xl engine; "
-                "use engine='core' for golden-trace recording"
-            )
         from ..xl.engine import run_scenario_xl
 
         return run_scenario_xl(
@@ -139,9 +130,7 @@ def run_scenario(
     from .model import PhoneNetworkModel
 
     streams = StreamFactory(seed).replication(replication)
-    model = PhoneNetworkModel(
-        config, streams, graph=graph, tracer=tracer, metrics=metrics
-    )
+    model = PhoneNetworkModel(config, streams, graph=graph, metrics=metrics)
     model.seed_infection(patient_zero)
     final_time = model.run()
     return ScenarioResult(

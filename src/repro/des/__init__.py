@@ -4,12 +4,12 @@ This subpackage is the executable substrate for the whole reproduction
 (standing in for the Möbius tool's simulator):
 
 * :class:`~repro.des.simulator.Simulator` — clock, event queue, run loop;
+  the :class:`~repro.des.events.Event` it returns is the cancel handle;
 * :mod:`~repro.des.random` — independent seeded RNG streams and named
-  distribution objects;
-* :mod:`~repro.des.trace` — structured run tracing.
+  distribution objects.
 """
 
-from .events import PRIORITY_EARLY, PRIORITY_LATE, PRIORITY_NORMAL, EventHandle
+from .events import Event
 from .queue import EventQueue
 from .random import (
     Deterministic,
@@ -20,23 +20,16 @@ from .random import (
     as_distribution,
 )
 from .simulator import SimulationError, Simulator
-from .trace import NULL_TRACER, Tracer, TraceRecord
 
 __all__ = [
     "Simulator",
     "SimulationError",
+    "Event",
     "EventQueue",
-    "EventHandle",
-    "PRIORITY_EARLY",
-    "PRIORITY_NORMAL",
-    "PRIORITY_LATE",
     "StreamFactory",
     "Distribution",
     "Deterministic",
     "Exponential",
     "ShiftedExponential",
     "as_distribution",
-    "Tracer",
-    "TraceRecord",
-    "NULL_TRACER",
 ]

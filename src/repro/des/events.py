@@ -1,20 +1,24 @@
-"""Event primitives for the discrete-event simulation kernel.
+"""The scheduled event, which is also its own cancellation handle.
 
 The kernel schedules :class:`Event` objects onto a time-ordered queue.  An
-event couples a firing time, a tie-breaking priority, a monotonically
-increasing sequence number (for deterministic FIFO ordering among equal
-time/priority events), and a callback.
+event couples a firing time, a monotonically increasing sequence number
+(FIFO order among events at equal times), a callback, and a label (the
+profiler times events per label).  ``Simulator.schedule`` returns the
+event itself, so the scheduling site can later cancel it (e.g. a reboot
+timer superseded by a patch) or check whether it fired.
 
-Events support O(1) cancellation through a *lazy deletion* scheme: a
-cancelled event stays in the heap but is skipped when popped.  Callers hold
-an :class:`EventHandle` that exposes ``cancel()`` and status inspection
-without leaking the queue internals.
+Cancellation is O(1) *lazy deletion*: a cancelled event stays in the heap
+and is skipped when it reaches the top.  :meth:`Event.cancel` tells the
+owning queue, so the queue's live count and compaction stay exact.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .queue import EventQueue
 
 
 class EventState(enum.Enum):
@@ -32,120 +36,56 @@ class Event:
     ----------
     time:
         Simulation time at which the event fires.
-    priority:
-        Tie-breaker among events at the same time; *lower* fires first.
     seq:
-        Monotonic sequence number assigned by the queue; breaks remaining
-        ties deterministically (FIFO).
+        Monotonic sequence number assigned by the queue; breaks ties among
+        equal times deterministically (FIFO).
     callback:
         Zero-argument callable invoked when the event fires.
     label:
-        Optional human-readable tag used by tracing.
+        Optional tag; per-label timers in the profiler are keyed by it.
+    queue:
+        The queue holding the event, told about a cancellation.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "label", "state")
+    __slots__ = ("time", "seq", "callback", "label", "state", "_queue")
 
     def __init__(
         self,
         time: float,
-        priority: int,
         seq: int,
         callback: Callable[[], Any],
-        label: str = "",
+        label: str,
+        queue: "EventQueue",
     ) -> None:
         self.time = time
-        self.priority = priority
         self.seq = seq
         self.callback = callback
         self.label = label
         self.state = EventState.PENDING
-
-    @property
-    def sort_key(self) -> Tuple[float, int, int]:
-        """Heap ordering key: (time, priority, sequence)."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key < other.sort_key
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Event(t={self.time:.6g}, prio={self.priority}, seq={self.seq}, "
-            f"label={self.label!r}, state={self.state.value})"
-        )
-
-
-class EventHandle:
-    """Caller-facing handle for a scheduled event.
-
-    A handle allows the scheduling site to cancel the event later (e.g. a
-    reboot timer that is superseded) and to query whether it already fired.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Scheduled firing time."""
-        return self._event.time
-
-    @property
-    def label(self) -> str:
-        """Trace label given at scheduling time."""
-        return self._event.label
-
-    @property
-    def pending(self) -> bool:
-        """True while the event has neither fired nor been cancelled."""
-        return self._event.state is EventState.PENDING
-
-    @property
-    def fired(self) -> bool:
-        """True once the callback has been invoked."""
-        return self._event.state is EventState.FIRED
-
-    @property
-    def cancelled(self) -> bool:
-        """True if :meth:`cancel` succeeded before firing."""
-        return self._event.state is EventState.CANCELLED
+        self._queue = queue
 
     def cancel(self) -> bool:
         """Cancel the event if it is still pending.
 
-        Returns ``True`` if the event was cancelled by this call, ``False``
-        if it had already fired or been cancelled.  Cancellation is O(1);
-        the dead entry is discarded when it reaches the top of the heap.
+        Returns ``True`` if this call cancelled the event, ``False`` if it
+        had already fired or been cancelled.
         """
-        if self._event.state is EventState.PENDING:
-            self._event.state = EventState.CANCELLED
-            self._event.callback = _noop
+        if self.state is EventState.PENDING:
+            self.state = EventState.CANCELLED
+            self.callback = _noop
+            self._queue.note_cancellation()
             return True
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EventHandle({self._event!r})"
+        return (
+            f"Event(t={self.time:.6g}, seq={self.seq}, "
+            f"label={self.label!r}, state={self.state.value})"
+        )
 
 
 def _noop() -> None:
     """Replacement callback for cancelled events (drops references)."""
 
 
-#: Default priority for ordinary model events.
-PRIORITY_NORMAL = 0
-#: Priority for bookkeeping that must observe a time instant first.
-PRIORITY_EARLY = -10
-#: Priority for metric sampling that must observe a time instant last.
-PRIORITY_LATE = 10
-
-
-__all__ = [
-    "Event",
-    "EventHandle",
-    "EventState",
-    "PRIORITY_NORMAL",
-    "PRIORITY_EARLY",
-    "PRIORITY_LATE",
-]
+__all__ = ["Event", "EventState"]

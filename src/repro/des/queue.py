@@ -2,19 +2,17 @@
 
 A thin wrapper around :mod:`heapq` specialised for the simulation kernel:
 
-* deterministic ordering — ties on time are broken by priority, then by
-  insertion order;
+* deterministic ordering — ties on time are broken by insertion order;
 * O(log n) push/pop, O(1) cancellation (dead events are skipped on pop);
 * periodic compaction so that a workload that cancels most of its events
   (e.g. reboot timers superseded by patches) does not grow the heap
   unboundedly.
 
-Heap entries are plain ``(time, priority, seq, event)`` tuples, not the
-events themselves: heapq then orders entries with C-level tuple
-comparison instead of calling a Python-level ``Event.__lt__`` per sift
-step, which is the single hottest comparison site in the kernel.  The
-``seq`` component is unique per push, so the event object itself is never
-compared.
+Heap entries are plain ``(time, seq, event)`` tuples, not the events
+themselves: heapq then orders entries with C-level tuple comparison
+instead of a Python-level comparison per sift step, which is the single
+hottest comparison site in the kernel.  The ``seq`` component is unique
+per push, so the event object itself is never compared.
 """
 
 from __future__ import annotations
@@ -22,14 +20,14 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional, Tuple
 
-from .events import Event, EventHandle, EventState
+from .events import Event, EventState
 
-#: One heap entry: (time, priority, seq, event).
-_HeapEntry = Tuple[float, int, int, Event]
+#: One heap entry: (time, seq, event).
+_HeapEntry = Tuple[float, int, Event]
 
 
 class EventQueue:
-    """Priority queue of :class:`~repro.des.events.Event` objects."""
+    """Time-ordered queue of :class:`~repro.des.events.Event` objects."""
 
     #: Compact the heap when more than this fraction of entries are dead
     #: (and the heap is large enough for compaction to matter).
@@ -50,60 +48,17 @@ class EventQueue:
         """Number of *live* (pending) events."""
         return len(self._heap) - self._cancelled
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    @property
-    def heap_size(self) -> int:
-        """Raw heap size including not-yet-collected cancelled entries."""
-        return len(self._heap)
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = 0,
-        label: str = "",
-    ) -> EventHandle:
-        """Schedule ``callback`` at ``time`` and return a cancellable handle."""
-        return EventHandle(self.push_event(time, callback, priority, label))
-
     def push_event(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = 0,
-        label: str = "",
+        self, time: float, callback: Callable[[], None], label: str = ""
     ) -> Event:
-        """Like :meth:`push` but returns the raw event (no handle wrapper).
-
-        Callers that wrap events in their own handle type (the simulator's
-        cancellation-tracking handle) use this to avoid allocating an
-        intermediate :class:`EventHandle` per scheduled event.
-        """
+        """Schedule ``callback`` at ``time``; the event is its cancel handle."""
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, priority, seq, callback, label)
+        event = Event(time, seq, callback, label, self)
         heap = self._heap
-        heapq.heappush(heap, (time, priority, seq, event))
+        heapq.heappush(heap, (time, seq, event))
         if len(heap) > self.peak_size:
             self.peak_size = len(heap)
-        return event
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        self._skip_dead()
-        if self._heap:
-            return self._heap[0][0]
-        return None
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event (``None`` when empty)."""
-        self._skip_dead()
-        if not self._heap:
-            return None
-        event = heapq.heappop(self._heap)[3]
-        event.state = EventState.FIRED
         return event
 
     def pop_due(self, limit: float) -> Tuple[Optional[Event], Optional[float]]:
@@ -111,11 +66,10 @@ class EventQueue:
 
         The run-loop hot path: one traversal both skips dead entries and
         decides between "fire", "next event is beyond the horizon", and
-        "queue drained" — where ``peek_time()`` + ``pop()`` would walk the
-        dead prefix twice.
+        "queue drained".
 
-        Returns ``(event, event.time)`` when an event fired-eligible event
-        exists; ``(None, next_time)`` when the next live event lies beyond
+        Returns ``(event, event.time)`` when a fire-eligible event exists;
+        ``(None, next_time)`` when the next live event lies beyond
         ``limit`` (it stays queued); ``(None, None)`` when no live events
         remain.
         """
@@ -124,7 +78,7 @@ class EventQueue:
         cancelled_state = EventState.CANCELLED
         while heap:
             entry = heap[0]
-            event = entry[3]
+            event = entry[2]
             if event.state is cancelled_state:
                 heappop(heap)
                 self._cancelled -= 1
@@ -137,33 +91,15 @@ class EventQueue:
             return event, time
         return None, None
 
-    def clear(self) -> None:
-        """Drop all scheduled events."""
-        self._heap.clear()
-        self._cancelled = 0
-
     def note_cancellation(self) -> None:
-        """Record that one heap entry was cancelled (for live-count/compaction).
-
-        Called by the simulator when a handle it issued is cancelled; the
-        queue itself never sees ``EventHandle.cancel`` directly.
-        """
+        """Record that one heap entry was cancelled (:meth:`Event.cancel`)."""
         self._cancelled += 1
         self.cancelled_total += 1
-        self._maybe_compact()
-
-    def _skip_dead(self) -> None:
-        heap = self._heap
-        while heap and heap[0][3].state is EventState.CANCELLED:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-
-    def _maybe_compact(self) -> None:
         if (
             len(self._heap) >= self._COMPACT_MIN_SIZE
             and self._cancelled > len(self._heap) * self._COMPACT_RATIO
         ):
-            live = [e for e in self._heap if e[3].state is EventState.PENDING]
+            live = [e for e in self._heap if e[2].state is EventState.PENDING]
             heapq.heapify(live)
             self._heap = live
             self._cancelled = 0

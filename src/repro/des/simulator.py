@@ -7,24 +7,24 @@ layer in :mod:`repro.san` is built on top of it).
 Semantics:
 
 * time is a non-negative float (the phone model uses hours);
-* events at equal times fire in (priority, insertion) order, so runs are
-  fully deterministic given a seed;
+* events at equal times fire in insertion order, so runs are fully
+  deterministic given a seed;
 * ``schedule`` takes a *delay*; ``schedule_at`` takes an absolute time;
-  scheduling in the past is an error;
-* the run loop stops at an end time, after a number of events, when a stop
-  condition becomes true, or when the queue drains.
+  scheduling in the past is an error; both return the
+  :class:`~repro.des.events.Event`, which cancels itself;
+* the run loop stops at an end time, after a number of events, or when
+  the queue drains.
 """
 
 from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
 from ..obs.metrics import NULL_METRICS, Metrics
-from .events import PRIORITY_NORMAL, EventHandle
+from .events import Event
 from .queue import EventQueue
-from .trace import NULL_TRACER, Tracer
 
 
 class SimulationError(RuntimeError):
@@ -39,23 +39,15 @@ class Simulator:
     ``des.events_cancelled``, the ``des.heap_peak`` gauge, and a
     ``des.run_seconds`` timer, and (with ``time_events``) per-event-label
     ``event.<label>`` timers for hot-path profiling.  The default
-    :data:`~repro.obs.metrics.NULL_METRICS` costs the hot loop nothing
-    beyond one hoisted boolean check.
+    :data:`~repro.obs.metrics.NULL_METRICS` costs the hot loop nothing.
     """
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[Metrics] = None,
-    ) -> None:
+    def __init__(self, metrics: Optional[Metrics] = None) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
-        self._stop_requested = False
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._events_fired = 0
-        self._end_hooks: List[Callable[[], None]] = []
         # Cancellations already reported to the metrics registry; lets
         # successive run() calls sum to the lifetime total (including
         # cancellations made between runs or during setup).
@@ -77,64 +69,25 @@ class Simulator:
         return len(self._queue)
 
     def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        priority: int = PRIORITY_NORMAL,
-        label: str = "",
-    ) -> EventHandle:
+        self, delay: float, callback: Callable[[], None], label: str = ""
+    ) -> Event:
         """Schedule ``callback`` to fire ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule with negative delay {delay}")
-        event = self._queue.push_event(self._now + delay, callback, priority, label)
-        return _TrackedHandle(event, self._queue)
-
-    def schedule_fast(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        priority: int = PRIORITY_NORMAL,
-        label: str = "",
-    ) -> None:
-        """Schedule a fire-and-forget callback ``delay`` time units from now.
-
-        Identical queue semantics to :meth:`schedule` (same ordering, same
-        sequence numbering) but returns no handle, so call sites that never
-        cancel — deliveries, installs, periodic ticks — skip one handle
-        allocation per event on the hot path.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule with negative delay {delay}")
-        self._queue.push_event(self._now + delay, callback, priority, label)
+        return self._queue.push_event(self._now + delay, callback, label)
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = PRIORITY_NORMAL,
-        label: str = "",
-    ) -> EventHandle:
+        self, time: float, callback: Callable[[], None], label: str = ""
+    ) -> Event:
         """Schedule ``callback`` at absolute time ``time`` (>= now)."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} which is before current time {self._now}"
             )
-        event = self._queue.push_event(time, callback, priority, label)
-        return _TrackedHandle(event, self._queue)
-
-    def stop(self) -> None:
-        """Request the run loop to stop after the current event."""
-        self._stop_requested = True
-
-    def add_end_hook(self, hook: Callable[[], None]) -> None:
-        """Register a callable invoked once when a run finishes."""
-        self._end_hooks.append(hook)
+        return self._queue.push_event(time, callback, label)
 
     def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
+        self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> float:
         """Execute events until a limit is reached.
 
@@ -147,8 +100,6 @@ class Simulator:
             cover the full horizon).
         max_events:
             Stop after this many events have fired in *this* call.
-        stop_when:
-            Predicate evaluated after every event; truthy stops the run.
 
         Returns the simulation time when the run stopped.
         """
@@ -158,50 +109,30 @@ class Simulator:
             raise SimulationError(f"until={until} is before current time {self._now}")
 
         self._running = True
-        self._stop_requested = False
         fired_this_run = 0
-        # Hot loop: pop_due does one heap traversal per event (skip-dead +
-        # horizon check + pop combined), and the queue/tracer/metrics
-        # lookups are hoisted out of the loop.  The loop *kernel* is chosen
-        # once per run: with tracing and telemetry off and no per-event
-        # predicates, the tight loop in :meth:`_run_plain` fires callbacks
-        # with zero instrumentation branches per event.
+        # The loop is chosen once per run: with telemetry off and no
+        # ``max_events``, the tight loop in :meth:`_run_plain` fires
+        # callbacks with no instrumentation branch per event.
         queue = self._queue
         pop_due = queue.pop_due
-        tracer = self.tracer
         metrics = self.metrics
         collect = metrics.enabled
         time_events = metrics.time_events
         run_start = perf_counter() if collect else 0.0
         limit = math.inf if until is None else until
-        plain = (
-            not collect
-            and not tracer.enabled
-            and max_events is None
-            and stop_when is None
-        )
         try:
-            if plain:
+            if not collect and max_events is None:
                 fired_this_run = self._run_plain(pop_due, limit, until)
             else:
-                while True:
-                    if self._stop_requested:
-                        break
-                    if max_events is not None and fired_this_run >= max_events:
-                        break
+                while max_events is None or fired_this_run < max_events:
                     event, next_time = pop_due(limit)
                     if event is None:
-                        if next_time is None:
-                            if until is not None:
-                                self._now = max(self._now, until)
-                        else:
+                        if until is not None:
                             self._now = until
                         break
                     self._now = next_time
                     self._events_fired += 1
                     fired_this_run += 1
-                    if tracer.enabled and event.label:
-                        tracer.record(next_time, "event", event.label)
                     if time_events:
                         started = perf_counter()
                         event.callback()
@@ -211,8 +142,6 @@ class Simulator:
                         )
                     else:
                         event.callback()
-                    if stop_when is not None and stop_when():
-                        break
         finally:
             self._running = False
             if collect:
@@ -225,28 +154,21 @@ class Simulator:
                 self._cancellations_reported = queue.cancelled_total
                 metrics.gauge_max("des.heap_peak", queue.peak_size)
                 metrics.observe("des.run_seconds", perf_counter() - run_start)
-        for hook in self._end_hooks:
-            hook()
         return self._now
 
     def _run_plain(self, pop_due, limit: float, until: Optional[float]) -> int:
-        """Uninstrumented run-loop kernel (tracing/telemetry/predicates off).
+        """Uninstrumented run loop (telemetry off, no ``max_events``).
 
-        Event and clock semantics are identical to the general loop in
-        :meth:`run`; the only difference is that no per-event branch ever
-        consults the tracer, the metrics registry, ``max_events``, or
-        ``stop_when``.  The fired count folds into ``_events_fired`` even
+        Event and clock semantics are identical to the loop in
+        :meth:`run`.  The fired count folds into ``_events_fired`` even
         when a callback raises.
         """
         fired = 0
         try:
-            while not self._stop_requested:
+            while True:
                 event, next_time = pop_due(limit)
                 if event is None:
-                    if next_time is None:
-                        if until is not None:
-                            self._now = max(self._now, until)
-                    else:
+                    if until is not None:
                         self._now = until
                     break
                 self._now = next_time
@@ -255,51 +177,6 @@ class Simulator:
         finally:
             self._events_fired += fired
         return fired
-
-    def step(self) -> bool:
-        """Fire exactly one event.  Returns ``False`` when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._now = event.time
-        self._events_fired += 1
-        if self.tracer.enabled and event.label:
-            self.tracer.record(self._now, "event", event.label)
-        event.callback()
-        return True
-
-    def peek_next_time(self) -> Optional[float]:
-        """Time of the next scheduled event without firing it."""
-        return self._queue.peek_time()
-
-    def kernel_stats(self) -> Dict[str, int]:
-        """Lifetime kernel telemetry (events, cancellations, heap peak)."""
-        return {
-            "events_fired": self._events_fired,
-            "events_cancelled": self._queue.cancelled_total,
-            "heap_peak": self._queue.peak_size,
-            "pending_events": len(self._queue),
-        }
-
-
-class _TrackedHandle(EventHandle):
-    """Event handle that informs the queue about cancellations.
-
-    Keeping the accounting here lets ``len(queue)`` stay exact without the
-    queue scanning for dead entries.
-    """
-
-    __slots__ = ("_queue",)
-
-    def __init__(self, event, queue: EventQueue) -> None:
-        super().__init__(event)
-        self._queue = queue
-
-    def cancel(self) -> bool:
-        cancelled = super().cancel()
-        if cancelled:
-            self._queue.note_cancellation()
-        return cancelled
 
 
 __all__ = ["Simulator", "SimulationError"]

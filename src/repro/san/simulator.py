@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..des.events import PRIORITY_NORMAL
+from ..des.events import Event
 from ..des.simulator import SimulationError, Simulator
 from .activities import Activity, InstantaneousActivity, TimedActivity
 from .marking import Marking
@@ -96,7 +96,7 @@ class SANSimulator:
         for activity in model.activities:
             for place in activity.read_places():
                 self._readers.setdefault(place, []).append(activity)
-        self._scheduled: Dict[str, object] = {}  # activity name -> EventHandle
+        self._scheduled: Dict[str, Event] = {}  # activity name -> event
         self._counts: Dict[str, int] = {}
 
     # -- public API -------------------------------------------------------
@@ -127,16 +127,14 @@ class SANSimulator:
         enabled = activity.enabled(self.marking)
         if enabled and not scheduled:
             delay = activity.sample_delay(self.marking, self.rng)
-            handle = self.sim.schedule(
+            event = self.sim.schedule(
                 delay,
                 lambda a=activity: self._complete_timed(a),
-                priority=PRIORITY_NORMAL,
                 label=f"san:{activity.name}",
             )
-            self._scheduled[activity.name] = handle
+            self._scheduled[activity.name] = event
         elif not enabled and scheduled:
-            handle = self._scheduled.pop(activity.name)
-            handle.cancel()  # type: ignore[attr-defined]
+            self._scheduled.pop(activity.name).cancel()
 
     def _complete_timed(self, activity: TimedActivity) -> None:
         self._scheduled.pop(activity.name, None)

@@ -142,6 +142,32 @@ class ScenarioVerdict:
         }
 
 
+def _agreement_gates(
+    reference: List[float],
+    candidate: List[float],
+    label: str,
+    tolerances: Tolerances,
+) -> List[GateResult]:
+    """The mean, Welch and rank gates of one engine pair, named ``label``."""
+    return [
+        mean_equivalence_gate(
+            reference,
+            candidate,
+            absolute_margin=tolerances.mean_absolute_floor,
+            se_multiplier=tolerances.mean_se_multiplier,
+            name=f"{label} mean",
+        ),
+        welch_gate(
+            reference, candidate, alpha=tolerances.welch_alpha,
+            name=f"{label} welch",
+        ),
+        rank_gate(
+            reference, candidate, alpha=tolerances.rank_alpha,
+            name=f"{label} rank",
+        ),
+    ]
+
+
 def run_differential_scenario(
     scenario: DifferentialScenario,
     seed: int = VALIDATION_SEED,
@@ -219,21 +245,7 @@ def run_differential_scenario(
     )
 
     gates = [
-        mean_equivalence_gate(
-            core_finals,
-            san_finals,
-            absolute_margin=tolerances.mean_absolute_floor,
-            se_multiplier=tolerances.mean_se_multiplier,
-            name="core-vs-san mean",
-        ),
-        welch_gate(
-            core_finals, san_finals, alpha=tolerances.welch_alpha,
-            name="core-vs-san welch",
-        ),
-        rank_gate(
-            core_finals, san_finals, alpha=tolerances.rank_alpha,
-            name="core-vs-san rank",
-        ),
+        *_agreement_gates(core_finals, san_finals, "core-vs-san", tolerances),
         prediction_gate(
             core_finals, plateau, rel_tolerance=tolerances.plateau_rel_tolerance,
             name="core-vs-meanfield plateau",
@@ -242,21 +254,7 @@ def run_differential_scenario(
             san_finals, plateau, rel_tolerance=tolerances.plateau_rel_tolerance,
             name="san-vs-meanfield plateau",
         ),
-        mean_equivalence_gate(
-            core_finals,
-            xl_finals,
-            absolute_margin=tolerances.mean_absolute_floor,
-            se_multiplier=tolerances.mean_se_multiplier,
-            name="core-vs-xl mean",
-        ),
-        welch_gate(
-            core_finals, xl_finals, alpha=tolerances.welch_alpha,
-            name="core-vs-xl welch",
-        ),
-        rank_gate(
-            core_finals, xl_finals, alpha=tolerances.rank_alpha,
-            name="core-vs-xl rank",
-        ),
+        *_agreement_gates(core_finals, xl_finals, "core-vs-xl", tolerances),
         prediction_gate(
             xl_finals, plateau, rel_tolerance=tolerances.plateau_rel_tolerance,
             name="xl-vs-meanfield plateau",
@@ -333,21 +331,7 @@ def run_bluetooth_differential(
     ever_accept = total_acceptance_probability(config.user.acceptance_factor)
     plateau = 1.0 + (config.network.population - 1) * ever_accept
     gates = [
-        mean_equivalence_gate(
-            core_finals,
-            xl_finals,
-            absolute_margin=tolerances.mean_absolute_floor,
-            se_multiplier=tolerances.mean_se_multiplier,
-            name="core-vs-xl mean",
-        ),
-        welch_gate(
-            core_finals, xl_finals, alpha=tolerances.welch_alpha,
-            name="core-vs-xl welch",
-        ),
-        rank_gate(
-            core_finals, xl_finals, alpha=tolerances.rank_alpha,
-            name="core-vs-xl rank",
-        ),
+        *_agreement_gates(core_finals, xl_finals, "core-vs-xl", tolerances),
         prediction_gate(
             core_finals, plateau, rel_tolerance=tolerances.plateau_rel_tolerance,
             name="core-vs-consent plateau",

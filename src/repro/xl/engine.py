@@ -34,8 +34,7 @@ matching the core model's channel), or grid-bucketed physical proximity
 when the scenario carries :class:`~repro.core.parameters.MobilityParameters`
 (see :mod:`repro.mobility.grid`).  Unsupported scenario features (they
 raise :class:`UnsupportedFeatureError`): finite gateway capacity, which
-is queue-shaped and gains nothing from batching; event tracing
-(``tracer``) is likewise rejected at the dispatch layer.
+is queue-shaped and gains nothing from batching.
 """
 
 from __future__ import annotations

@@ -228,7 +228,8 @@ def test_profile_top_must_be_positive(value, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--shards", "0"), ("--heartbeat-timeout", "0")]
+    "flag, value",
+    [("--shards", "0"), ("--heartbeat-timeout", "0"), ("--max-queue-depth", "-5")],
 )
 def test_serve_bad_counts_exit_2_with_usage(flag, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.des import (
-    PRIORITY_EARLY,
-    PRIORITY_LATE,
-    SimulationError,
-    Simulator,
-)
+from repro.des import SimulationError, Simulator
+from repro.des.events import EventState
 
 
 def test_clock_starts_at_zero():
@@ -32,12 +28,12 @@ def test_events_fire_in_time_order():
 def test_equal_times_fire_in_priority_then_fifo_order():
     sim = Simulator()
     fired = []
-    sim.schedule(1.0, lambda: fired.append("normal1"))
-    sim.schedule(1.0, lambda: fired.append("late"), priority=PRIORITY_LATE)
-    sim.schedule(1.0, lambda: fired.append("early"), priority=PRIORITY_EARLY)
-    sim.schedule(1.0, lambda: fired.append("normal2"))
+    sim.schedule(1.0, lambda: fired.append("first"))
+    sim.schedule_at(1.0, lambda: fired.append("second"))
+    sim.schedule(0.5, lambda: fired.append("earlier"))
+    sim.schedule(1.0, lambda: fired.append("third"))
     sim.run()
-    assert fired == ["early", "normal1", "normal2", "late"]
+    assert fired == ["earlier", "first", "second", "third"]
 
 
 def test_run_until_stops_clock_at_horizon():
@@ -109,15 +105,16 @@ def test_cancelled_event_does_not_fire():
     assert handle.cancel() is False  # second cancel is a no-op
     sim.run()
     assert fired == ["kept"]
-    assert handle.cancelled
+    assert handle.state is EventState.CANCELLED
 
 
 def test_cancel_after_fire_returns_false():
     sim = Simulator()
     handle = sim.schedule(1.0, lambda: None)
     sim.run()
-    assert handle.fired
+    assert handle.state is EventState.FIRED
     assert handle.cancel() is False
+    assert sim.pending_events == 0
 
 
 def test_pending_event_count_tracks_cancellations():
@@ -129,32 +126,15 @@ def test_pending_event_count_tracks_cancellations():
     assert sim.pending_events == 6
 
 
-def test_stop_requested_from_event():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
-    sim.schedule(2.0, lambda: fired.append(2))
-    sim.run()
-    assert fired == [1]
-    assert sim.now == 1.0
-
-
-def test_stop_when_predicate():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-    sim.run(stop_when=lambda: len(fired) >= 3)
-    assert fired == [0, 1, 2]
-
-
 def test_max_events():
     sim = Simulator()
     fired = []
     for i in range(10):
         sim.schedule(float(i + 1), lambda i=i: fired.append(i))
     sim.run(max_events=4)
-    assert len(fired) == 4
+    assert fired == [0, 1, 2, 3]
+    assert sim.now == 4.0
+    assert sim.pending_events == 6
 
 
 def test_events_fired_counter():
@@ -170,19 +150,12 @@ def test_step_fires_one_event():
     fired = []
     sim.schedule(1.0, lambda: fired.append(1))
     sim.schedule(2.0, lambda: fired.append(2))
-    assert sim.step() is True
-    assert fired == [1]
-    assert sim.step() is True
-    assert sim.step() is False
-
-
-def test_end_hooks_called_once_per_run():
-    sim = Simulator()
-    calls = []
-    sim.add_end_hook(lambda: calls.append(sim.now))
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert calls == [1.0]
+    sim.run(max_events=1)
+    assert fired == [1] and sim.now == 1.0
+    sim.run(max_events=1)
+    assert fired == [1, 2] and sim.now == 2.0
+    sim.run(max_events=1)
+    assert fired == [1, 2] and sim.events_fired == 2
 
 
 def test_no_reentrant_runs():
@@ -198,13 +171,6 @@ def test_no_reentrant_runs():
     sim.schedule(1.0, nested)
     sim.run()
     assert len(errors) == 1
-
-
-def test_peek_next_time():
-    sim = Simulator()
-    assert sim.peek_next_time() is None
-    sim.schedule(2.5, lambda: None)
-    assert sim.peek_next_time() == 2.5
 
 
 def test_determinism_with_same_schedule():

@@ -198,8 +198,15 @@ class TestKernelIntegration:
         handle.cancel()
         sim.schedule(2.0, lambda: None)
         sim.run(max_events=1)
-        stats = sim.kernel_stats()
-        assert stats["events_fired"] == 1
-        assert stats["events_cancelled"] == 1
-        assert stats["heap_peak"] >= 2
-        assert stats["pending_events"] == 1
+        assert sim.events_fired == 1
+        assert sim.pending_events == 1
+        # Lifetime totals reach the registry on the next instrumented run,
+        # including the cancellation made before any run.
+        metrics = Metrics(enabled=True)
+        sim.metrics = metrics
+        sim.run()
+        assert sim.events_fired == 2
+        assert sim.pending_events == 0
+        assert metrics.counter_value("des.events_fired") == 1
+        assert metrics.counter_value("des.events_cancelled") == 1
+        assert metrics.gauge_value("des.heap_peak") >= 3

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,17 +49,18 @@ def test_cancelled_events_never_fire_and_others_all_do(entries):
     assert cancelled_indices.isdisjoint(fired)
 
 
-@given(st.lists(st.tuples(delays, st.integers(-5, 5)), min_size=2, max_size=100))
+@given(st.lists(st.sampled_from([0.0, 1.0, 2.5]) | delays, min_size=2, max_size=100))
 @settings(max_examples=50, deadline=None)
-def test_queue_pop_respects_time_priority_sequence_key(entries):
+def test_queue_pop_respects_time_priority_sequence_key(times):
     queue = EventQueue()
-    for time, priority in entries:
-        queue.push(time, lambda: None, priority=priority)
+    for time in times:
+        queue.push_event(time, lambda: None)
     popped = []
-    while queue:
-        event = queue.pop()
-        popped.append(event.sort_key)
+    while len(queue):
+        event, _ = queue.pop_due(math.inf)
+        popped.append((event.time, event.seq))
     assert popped == sorted(popped)
+    assert sorted(seq for _, seq in popped) == list(range(len(times)))
 
 
 @given(st.lists(delays, min_size=1, max_size=100), st.floats(0.0, 1000.0))
@@ -81,21 +84,22 @@ def test_interleaved_schedule_cancel_pop_consistency(data):
     for op in operations:
         if op == 0:  # push
             t = data.draw(delays)
-            handle = queue.push(t, lambda: None, label=str(counter))
-            live[counter] = (t, handle)
+            event = queue.push_event(t, lambda: None, label=str(counter))
+            live[counter] = (t, event)
             counter += 1
         elif op == 1 and live:  # cancel an arbitrary live event
             key = data.draw(st.sampled_from(sorted(live)))
-            _, handle = live.pop(key)
-            if handle.cancel():
-                queue.note_cancellation()
+            _, event = live.pop(key)
+            assert event.cancel()
         elif op == 2:  # pop
-            event = queue.pop()
+            event, _ = queue.pop_due(math.inf)
             if event is not None:
                 live.pop(int(event.label), None)
     # Every remaining live event pops exactly once, in order.
     remaining_times = sorted(t for t, _ in live.values())
+    assert len(queue) == len(live)
     popped_times = []
-    while queue:
-        popped_times.append(queue.pop().time)
+    while len(queue):
+        popped_times.append(queue.pop_due(math.inf)[0].time)
     assert popped_times == remaining_times
+    assert queue.pop_due(math.inf) == (None, None)

@@ -410,7 +410,9 @@ class TestCliOffline:
         assert "service error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--shards", "0"), ("--heartbeat-timeout", "0")]
+        "flag, value",
+        [("--shards", "0"), ("--heartbeat-timeout", "0"),
+         ("--max-queue-depth", "-5")],
     )
     def test_daemon_bad_counts_exit_2(self, flag, value, tmp_path, capsys):
         from repro.service.__main__ import main as service_main

@@ -31,7 +31,6 @@ from repro.core.parameters import (
 from repro.core.scenarios import baseline_scenario
 from repro.core.serialization import scenario_from_dict, scenario_to_dict
 from repro.core.simulation import run_scenario
-from repro.des.trace import Tracer
 from repro.experiments.spec import ExperimentSpec, SeriesSpec, plan_experiment
 from repro.validation.golden import (
     checkpoint_times,
@@ -114,11 +113,6 @@ def test_run_scenario_dispatches_to_xl():
     result = run_scenario(config, seed=3)
     assert "xl_rounds" in result.counters
     assert result.config.engine == "xl"
-
-
-def test_xl_rejects_tracer():
-    with pytest.raises(ValueError, match="tracing"):
-        run_scenario(_small_scenario(), seed=0, tracer=Tracer())
 
 
 def test_xl_rejects_gateway_capacity():
