@@ -21,8 +21,8 @@ import pytest
 from repro.design.library import get_experiment
 from repro.experiments import (
     ExperimentResult,
+    ReplicationScheduler,
     format_experiment_report,
-    run_experiment,
 )
 
 
@@ -44,7 +44,10 @@ def run_figure(experiment_id: str, benchmark) -> ExperimentResult:
     seed = bench_seed()
 
     def execute() -> ExperimentResult:
-        return run_experiment(spec, replications=replications, seed=seed)
+        with ReplicationScheduler() as scheduler:
+            return scheduler.run_experiment(
+                spec, replications=replications, seed=seed
+            )
 
     result = benchmark.pedantic(execute, rounds=1, iterations=1)
     print()

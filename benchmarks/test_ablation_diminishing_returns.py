@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from conftest import bench_replications, bench_seed
 from repro.design.library import SWEEP_AXES, get_experiment
-from repro.experiments import run_experiment
+from repro.experiments import ReplicationScheduler
 from repro.experiments.sensitivity import format_sweep, sweep_finals
 
 
@@ -21,12 +21,13 @@ def test_diminishing_returns_knees(benchmark):
     sweep_ids = ("scan_delay", "blacklist_threshold")
 
     def run():
-        return {
-            sweep_id: run_experiment(
-                get_experiment(sweep_id), replications=replications, seed=seed
-            )
-            for sweep_id in sweep_ids
-        }
+        with ReplicationScheduler() as scheduler:
+            return {
+                sweep_id: scheduler.run_experiment(
+                    get_experiment(sweep_id), replications=replications, seed=seed
+                )
+                for sweep_id in sweep_ids
+            }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -12,25 +12,12 @@ __getattr__, __dir__, __all__ = lazy_surface(
     globals(),
     {
         ".timeseries": ("StepCurve", "CurveBand", "time_grid", "aggregate_curves"),
-        ".stats": (
-            "SampleSummary",
-            "summarize",
-            "relative_change",
-            "ratio",
-            "welch_t_test",
-        ),
+        ".stats": ("SampleSummary", "summarize", "welch_t_test"),
         ".epidemic": (
-            "EpidemicSummary",
-            "summarize_epidemic",
-            "containment_ratio",
-            "delay_to_level",
             "is_s_shaped",
             "growth_concentration",
-            "plateau_reached",
             "exponential_growth_rate",
             "doubling_time",
-            "estimate_r0",
-            "expected_plateau",
         ),
         ".meanfield": (
             "MeanFieldParameters",
@@ -39,6 +26,6 @@ __getattr__, __dir__, __all__ = lazy_surface(
             "expected_mean_field_plateau",
         ),
         ".svg": ("render_curves_svg", "save_curves_svg"),
-        ".report": ("ascii_chart", "format_series_summary", "format_table"),
+        ".report": ("ascii_chart", "format_table"),
     },
 )

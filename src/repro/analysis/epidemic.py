@@ -1,76 +1,19 @@
-"""Epidemic-curve analysis.
+"""Epidemic-curve shape diagnostics.
 
-Quantities the paper uses to compare response mechanisms: plateau levels,
-penetration (final infections / susceptible population), time-to-level,
-containment ratios versus a baseline, and shape diagnostics (S-shape check,
-growth concentration for Virus 2's step-like curve).
+The S-shape check and growth concentration (Virus 2's step-like curve)
+behind the shape checks, and the early exponential growth rate and
+doubling time.  Containment fractions and delays to a level are computed
+by the shape checks in :mod:`repro.experiments.checks`; the analytic
+plateau is :mod:`repro.analysis.meanfield`'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .timeseries import StepCurve
-
-
-@dataclass(frozen=True)
-class EpidemicSummary:
-    """Headline quantities of one infection curve."""
-
-    final_infected: float
-    peak_infected: float
-    penetration: float
-    time_to_half_final: Optional[float]
-    time_to_90pct_final: Optional[float]
-
-
-def summarize_epidemic(curve: StepCurve, susceptible: int) -> EpidemicSummary:
-    """Summarise an infection curve against the susceptible population."""
-    if susceptible <= 0:
-        raise ValueError(f"susceptible must be > 0, got {susceptible}")
-    final = curve.final_value
-    return EpidemicSummary(
-        final_infected=final,
-        peak_infected=curve.max_value,
-        penetration=final / susceptible,
-        time_to_half_final=curve.time_to_reach(final / 2.0) if final > 0 else None,
-        time_to_90pct_final=curve.time_to_reach(0.9 * final) if final > 0 else None,
-    )
-
-
-def containment_ratio(curve: StepCurve, baseline: StepCurve) -> float:
-    """Final infection level relative to the baseline's (lower = better).
-
-    The paper reports response effectiveness this way: "the infection only
-    reaches 5% of the infection level in the baseline".
-    """
-    baseline_final = baseline.final_value
-    if baseline_final == 0:
-        return 1.0 if curve.final_value == 0 else float("inf")
-    return curve.final_value / baseline_final
-
-
-def delay_to_level(
-    curve: StepCurve,
-    baseline: StepCurve,
-    level: float,
-) -> Optional[float]:
-    """How much longer than baseline the curve takes to reach ``level``.
-
-    ``None`` when the response curve never reaches the level (complete
-    containment below it); the paper's detection-algorithm analysis is this
-    measure at 135 infections for Virus 2.
-    """
-    baseline_time = baseline.time_to_reach(level)
-    curve_time = curve.time_to_reach(level)
-    if baseline_time is None:
-        raise ValueError(f"baseline never reaches level {level}")
-    if curve_time is None:
-        return None
-    return curve_time - baseline_time
 
 
 def is_s_shaped(
@@ -130,23 +73,6 @@ def growth_concentration(curve: StepCurve, bins: int = 48) -> float:
     return float(np.sum(shares**2))
 
 
-def plateau_reached(
-    curve: StepCurve,
-    window_fraction: float = 0.2,
-    tolerance_fraction: float = 0.02,
-) -> bool:
-    """Whether the curve is flat over its final ``window_fraction``.
-
-    Flat means growing less than ``tolerance_fraction`` of the final value.
-    """
-    if curve.final_value <= 0:
-        return True
-    window_start = curve.end_time - window_fraction * (curve.end_time - curve.start_time)
-    start_value = curve.value_at(window_start)
-    growth = curve.final_value - start_value
-    return growth <= tolerance_fraction * max(curve.final_value, 1.0)
-
-
 def exponential_growth_rate(
     curve: StepCurve,
     lower_fraction: float = 0.05,
@@ -189,47 +115,9 @@ def doubling_time(curve: StepCurve) -> Optional[float]:
     return float(np.log(2.0) / rate)
 
 
-def estimate_r0(
-    curve: StepCurve,
-    generation_time: float,
-) -> Optional[float]:
-    """Basic reproduction number via the Euler–Lotka relation R0 = e^(λT).
-
-    ``generation_time`` is the mean infector→infectee interval; for this
-    model roughly one send interval + gateway transit + read delay.  The
-    exponential-generation-interval approximation is adequate for ranking
-    viruses by aggressiveness (V3 ≫ V2 > V1 ≳ V4).
-    """
-    if generation_time <= 0:
-        raise ValueError(f"generation_time must be > 0, got {generation_time}")
-    rate = exponential_growth_rate(curve)
-    if rate is None:
-        return None
-    return float(np.exp(rate * generation_time))
-
-
-def expected_plateau(susceptible: int, total_acceptance: float) -> float:
-    """The paper's analytic plateau: susceptible × P(ever accept).
-
-    E.g. 800 × 0.40 = 320 for every unconstrained baseline virus.
-    """
-    if susceptible < 0:
-        raise ValueError(f"susceptible must be >= 0, got {susceptible}")
-    if not 0.0 <= total_acceptance <= 1.0:
-        raise ValueError(f"total_acceptance must be in [0, 1], got {total_acceptance}")
-    return susceptible * total_acceptance
-
-
 __all__ = [
-    "EpidemicSummary",
-    "summarize_epidemic",
-    "containment_ratio",
-    "delay_to_level",
     "is_s_shaped",
     "growth_concentration",
-    "plateau_reached",
     "exponential_growth_rate",
     "doubling_time",
-    "estimate_r0",
-    "expected_plateau",
 ]

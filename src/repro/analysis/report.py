@@ -7,7 +7,7 @@ reproduces the figures without a plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -110,24 +110,4 @@ def ascii_chart(
     return "\n".join(lines)
 
 
-def format_series_summary(
-    series: Dict[str, StepCurve],
-    susceptible: int,
-    checkpoints: Sequence[float] = (),
-) -> str:
-    """Tabulate final levels and optional checkpoint values per series."""
-    headers: List[str] = ["series", "final", "penetration"]
-    headers.extend(f"t={t:g}h" for t in checkpoints)
-    rows: List[List[object]] = []
-    for name, curve in series.items():
-        row: List[object] = [
-            name,
-            curve.final_value,
-            f"{curve.final_value / susceptible:.1%}" if susceptible else "n/a",
-        ]
-        row.extend(curve.value_at(t) for t in checkpoints)
-        rows.append(row)
-    return format_table(headers, rows)
-
-
-__all__ = ["format_table", "ascii_chart", "format_series_summary"]
+__all__ = ["format_table", "ascii_chart"]

@@ -2,7 +2,7 @@
 
 Small, well-tested statistical helpers for summarising Monte Carlo
 replications: sample summaries, Student-t confidence intervals, and
-relative-change comparisons used by the effectiveness reports.
+the two-sample tests the validation gates use.
 
 ``scipy.stats`` is imported inside the functions that call it, as in
 :mod:`repro.analysis.timeseries`: importing it costs about a second, and
@@ -72,24 +72,6 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> SampleSummar
         ci_upper=mean + half_width,
         confidence=confidence,
     )
-
-
-def relative_change(value: float, baseline: float) -> float:
-    """``(value - baseline) / baseline``; baseline 0 with value 0 gives 0."""
-    if baseline == 0.0:
-        if value == 0.0:
-            return 0.0
-        return math.inf if value > 0 else -math.inf
-    return (value - baseline) / baseline
-
-
-def ratio(value: float, baseline: float) -> float:
-    """``value / baseline`` with the 0/0 convention of 1."""
-    if baseline == 0.0:
-        if value == 0.0:
-            return 1.0
-        return math.inf
-    return value / baseline
 
 
 def welch_t_test(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
@@ -164,8 +146,6 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float
 __all__ = [
     "SampleSummary",
     "summarize",
-    "relative_change",
-    "ratio",
     "welch_t_test",
     "mean_difference_ci",
     "mann_whitney_u",

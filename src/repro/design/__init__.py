@@ -2,7 +2,7 @@
 
 The layer between "what the paper varies" and "what the scheduler
 runs": :mod:`~repro.design.model` is the pure point algebra (factors,
-crossing, nesting, ablation, seeded Latin-square subsampling),
+crossing, ablation, seeded Latin-square subsampling),
 :mod:`~repro.design.compile` interprets points as scenario configs and
 compiles designs to cache-deduplicated job lists,
 :mod:`~repro.design.library` re-expresses every paper experiment as a
@@ -20,21 +20,17 @@ from .compile import (
 )
 from .io import design_from_dict, load_design
 from .model import (
-    Concat,
     Cross,
     Design,
     DesignError,
     Factor,
     Level,
-    Nest,
     Point,
     Subsample,
     ablate,
-    concat,
     cross,
     derive_factor,
     latin_square,
-    nest,
 )
 
 __all__ = [
@@ -43,13 +39,9 @@ __all__ = [
     "Point",
     "Design",
     "Cross",
-    "Concat",
-    "Nest",
     "Subsample",
     "DesignError",
     "cross",
-    "concat",
-    "nest",
     "latin_square",
     "ablate",
     "derive_factor",

@@ -2,9 +2,9 @@
 
 An experiment is a *design* over named :class:`Factor`\\ s — virus,
 response, engine, population, acceptance factor, topology, duration,
-seed — combined by crossing, concatenation, nesting, ablation, and
-seeded Latin-square subsampling.  A design compiles to an ordered tuple
-of *points*; each point maps every factor name to one :class:`Level`.
+seed — combined by crossing, ablation, and seeded Latin-square
+subsampling.  A design compiles to an ordered tuple of *points*; each
+point maps every factor name to one :class:`Level`.
 The point algebra here is pure data — no simulation imports — so it can
 be property-tested exhaustively; :mod:`repro.design.compile` interprets
 points as :class:`~repro.core.parameters.ScenarioConfig` objects and
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
 
 #: One design point: an immutable view of {factor name -> chosen level}.
 Point = Mapping[str, "Level"]
@@ -112,9 +112,6 @@ class Factor:
     def __mul__(self, other: "DesignLike") -> "Cross":
         return cross(self, other)
 
-    def __add__(self, other: "DesignLike") -> "Concat":
-        return concat(self, other)
-
 
 #: Anything that behaves as a design: a Factor or a composite node.
 DesignLike = Union[Factor, "Design"]
@@ -124,8 +121,9 @@ DesignLike = Union[Factor, "Design"]
 class Design:
     """Base class for composite design nodes.
 
-    Subclasses implement :meth:`points` (ordered, deterministic) and
-    :attr:`factor_names` (the common factor set every point carries).
+    Subclasses implement :meth:`points` (ordered, deterministic),
+    :attr:`factor_names` (the common factor set every point carries) and
+    :meth:`factors` (the underlying factors).
     """
 
     @property
@@ -135,24 +133,8 @@ class Design:
     def points(self) -> Tuple[Point, ...]:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def factors(self) -> Tuple[Factor, ...]:
-        """The underlying factors, when the structure still knows them.
-
-        Composites that lose the per-factor structure (e.g. a
-        concatenation of point lists) reconstruct factors from their
-        points' observed levels, in first-appearance order.
-        """
-        observed: Dict[str, Dict[str, Level]] = {}
-        for name in self.factor_names:
-            observed[name] = {}
-        for point in self.points():
-            for name in self.factor_names:
-                level = point[name]
-                observed[name].setdefault(level.label, level)
-        return tuple(
-            Factor(name, tuple(levels.values()))
-            for name, levels in observed.items()
-        )
+    def factors(self) -> Tuple[Factor, ...]:  # pragma: no cover - abstract
+        raise NotImplementedError
 
     @property
     def size(self) -> int:
@@ -160,9 +142,6 @@ class Design:
 
     def __mul__(self, other: DesignLike) -> "Cross":
         return cross(self, other)
-
-    def __add__(self, other: DesignLike) -> "Concat":
-        return concat(self, other)
 
 
 def _check_disjoint(parts: Sequence[DesignLike]) -> Tuple[str, ...]:
@@ -210,94 +189,6 @@ class Cross(Design):
         return tuple(
             factor for part in self.parts for factor in part.factors()
         )
-
-
-@dataclass(frozen=True)
-class Concat(Design):
-    """Concatenation: the points of every part, in order.
-
-    All parts must agree on the factor set (a point's meaning should not
-    depend on which arm produced it); this is the union operation behind
-    ablation-style "baseline + grid" designs.
-    """
-
-    parts: Tuple[DesignLike, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise DesignError("concat() needs at least one part")
-        first = tuple(sorted(self.parts[0].factor_names))
-        for part in self.parts[1:]:
-            if tuple(sorted(part.factor_names)) != first:
-                raise DesignError(
-                    "concatenated designs must share one factor set; got "
-                    f"{list(first)} vs {sorted(part.factor_names)}"
-                )
-
-    @property
-    def factor_names(self) -> Tuple[str, ...]:
-        return tuple(self.parts[0].factor_names)
-
-    def points(self) -> Tuple[Point, ...]:
-        return tuple(
-            point for part in self.parts for point in part.points()
-        )
-
-
-@dataclass(frozen=True)
-class Nest(Design):
-    """Nesting: a child design chosen per level of the outer factor.
-
-    For each level of ``outer``, the points of ``children[level.label]``
-    are crossed with that level — the classic nested design, where the
-    inner factor's levels only make sense within one outer level (e.g. a
-    per-virus response grid).  Every child must carry the same factor
-    set.
-    """
-
-    outer: Factor
-    children: Mapping[str, DesignLike]
-
-    def __post_init__(self) -> None:
-        missing = [
-            level.label
-            for level in self.outer.levels
-            if level.label not in self.children
-        ]
-        if missing:
-            raise DesignError(
-                f"nest() has no child design for outer level(s) {missing}"
-            )
-        child_names = None
-        for label, child in self.children.items():
-            if self.outer.name in child.factor_names:
-                raise DesignError(
-                    f"child design for {label!r} reuses outer factor "
-                    f"{self.outer.name!r}"
-                )
-            names = tuple(sorted(child.factor_names))
-            if child_names is None:
-                child_names = names
-            elif names != child_names:
-                raise DesignError(
-                    "nested child designs must share one factor set; got "
-                    f"{list(child_names)} vs {list(names)}"
-                )
-
-    @property
-    def factor_names(self) -> Tuple[str, ...]:
-        first = self.children[self.outer.levels[0].label]
-        return (self.outer.name,) + tuple(first.factor_names)
-
-    def points(self) -> Tuple[Point, ...]:
-        result = []
-        for level in self.outer.levels:
-            child = self.children[level.label]
-            for point in child.points():
-                merged = {self.outer.name: level}
-                merged.update(point)
-                result.append(merged)
-        return tuple(result)
 
 
 @dataclass(frozen=True)
@@ -369,16 +260,6 @@ def cross(*parts: DesignLike) -> Cross:
     return Cross(tuple(parts))
 
 
-def concat(*parts: DesignLike) -> Concat:
-    """Concatenate designs over the same factor set, in order."""
-    return Concat(tuple(parts))
-
-
-def nest(outer: Factor, children: Mapping[str, DesignLike]) -> Nest:
-    """Nest a per-level child design under each level of ``outer``."""
-    return Nest(outer, dict(children))
-
-
 def latin_square(inner: Cross, seed: int, size: Optional[int] = None) -> Subsample:
     """Seeded Latin-square subsample of a full crossing (see Subsample)."""
     return Subsample(inner, seed=seed, size=size)
@@ -421,13 +302,9 @@ __all__ = [
     "Factor",
     "Design",
     "Cross",
-    "Concat",
-    "Nest",
     "Subsample",
     "Point",
     "cross",
-    "concat",
-    "nest",
     "latin_square",
     "ablate",
     "derive_factor",

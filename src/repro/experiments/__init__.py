@@ -3,7 +3,8 @@
 An :class:`ExperimentSpec` per paper table/figure (the paper's specs
 are compiled from the designs in :mod:`repro.design.library`, the one
 registry), the one planner :func:`plan_experiment`, the scheduler that
-runs planned jobs, and a runner that renders paper-style reports.
+runs planned jobs (:meth:`ReplicationScheduler.run_experiment` runs a
+whole spec), and a runner that renders paper-style reports.
 
 Dependencies go one way: :mod:`repro.design` builds on this package,
 and nothing here depends on the design layer.
@@ -28,7 +29,7 @@ __getattr__, __dir__, __all__ = lazy_surface(
             "plan_experiment",
             "ReplicationJob",
         ),
-        ".runner": ("run_experiment", "format_experiment_report", "export_csv"),
+        ".runner": ("format_experiment_report", "export_csv"),
         ".scheduler": (
             "JobSecondsEstimator",
             "ReplicationScheduler",

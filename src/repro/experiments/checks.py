@@ -160,42 +160,6 @@ def slower_to_level(
     return check
 
 
-def matches_mean_field(
-    label: str,
-    rel_tolerance: float = 0.2,
-    name: Optional[str] = None,
-) -> ShapeCheck:
-    """Final level of ``label`` matches its analytic mean-field plateau.
-
-    The expected plateau is derived from the series' own scenario config
-    (:func:`repro.analysis.meanfield.mean_field_for_scenario`), so the
-    check stays correct when a spec's population or pacing changes.  Only
-    meaningful for unconstrained scenarios whose horizon reaches the
-    plateau; the Monte Carlo CI half-width is added to the margin so a
-    noisy small-replication run is not spuriously failed.
-    """
-
-    def check(results: Dict[str, ReplicationSet]) -> CheckResult:
-        from ..analysis.meanfield import expected_mean_field_plateau, mean_field_for_scenario
-
-        result_set = results[label]
-        expected = expected_mean_field_plateau(
-            mean_field_for_scenario(result_set.config)
-        )
-        summary = result_set.final_summary()
-        margin = rel_tolerance * expected + summary.ci_half_width
-        return CheckResult(
-            name=name or f"mean_field({label})",
-            passed=abs(summary.mean - expected) <= margin,
-            detail=(
-                f"final={summary.mean:.1f}, mean-field plateau={expected:.1f}, "
-                f"margin=±{margin:.1f}"
-            ),
-        )
-
-    return check
-
-
 def s_shaped(label: str, name: Optional[str] = None) -> ShapeCheck:
     """The mean curve has the classic epidemic S shape."""
 
@@ -261,7 +225,6 @@ __all__ = [
     "containment_below",
     "containment_between",
     "ineffective",
-    "matches_mean_field",
     "slower_to_level",
     "s_shaped",
     "steppier_than",

@@ -1,58 +1,21 @@
-"""Experiment execution and reporting.
+"""Experiment reporting.
 
-:func:`run_experiment` simulates every series of a spec with common
-seeding and returns an :class:`ExperimentResult`;
-:func:`format_experiment_report` renders the table + ASCII chart + shape
-check outcomes (the benches print this), and :func:`export_csv` writes the
-mean curves for external plotting.
+:meth:`~repro.experiments.scheduler.ReplicationScheduler.run_experiment`
+produces an :class:`ExperimentResult`; :func:`format_experiment_report`
+renders it as the table + ASCII chart + shape check outcomes (the benches
+print this), and :func:`export_csv` writes the mean curves for external
+plotting.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Union
 
 from ..analysis.report import ascii_chart, format_table
 from ..analysis.timeseries import time_grid
-from ..core.cache import ResultCache
-from ..resilience.policy import RetryPolicy
-from .scheduler import ReplicationScheduler
-from .spec import ExperimentResult, ExperimentSpec
-
-
-def run_experiment(
-    spec: ExperimentSpec,
-    replications: Optional[int] = None,
-    seed: int = 0,
-    processes: int = 1,
-    cache: Optional[ResultCache] = None,
-    resilience: Optional[RetryPolicy] = None,
-    auto_degrade: bool = True,
-) -> ExperimentResult:
-    """Run every series of ``spec`` with ``replications`` replications.
-
-    All series share the master seed (unless a design's ``seed`` factor
-    pins one); each series' replications derive their streams
-    independently, so series are statistically independent but the
-    whole experiment is reproducible from one seed.  The job list comes
-    from :func:`~repro.experiments.spec.plan_experiment` (identical
-    configurations are simulated once) and runs through one
-    :class:`~repro.experiments.scheduler.ReplicationScheduler`:
-    ``processes=1`` is the inline serial path (bit-identical regardless of
-    worker count), ``cache`` skips already-computed replications,
-    ``resilience`` runs pending jobs under the supervised pool (retries,
-    timeouts, quarantine — see :mod:`repro.resilience`), and
-    ``auto_degrade`` lets the scheduler run a batch inline when its cost
-    model projects the pool would lose to serial.
-    """
-    with ReplicationScheduler(
-        processes=processes,
-        cache=cache,
-        resilience=resilience,
-        auto_degrade=auto_degrade,
-    ) as scheduler:
-        return scheduler.run_experiment(spec, replications=replications, seed=seed)
+from .spec import ExperimentResult
 
 
 def format_experiment_report(
@@ -136,7 +99,6 @@ def export_csv(
 
 
 __all__ = [
-    "run_experiment",
     "format_experiment_report",
     "export_csv",
 ]

@@ -10,9 +10,8 @@ outcomes, and EXPERIMENTS.md records paper-vs-measured.
 :func:`plan_experiment` is the one planner: it turns ``(spec,
 replications, seed)`` into an :class:`ExperimentPlan` — the
 cache-deduplicated :class:`ReplicationJob` list every run path (``figure``,
-``design run``, :func:`~repro.experiments.runner.run_experiment`, the
-campaign daemon) schedules, plus the per-series slots that fan results
-back out.
+``design run``, the campaign daemon) schedules, plus the per-series slots
+that fan results back out.
 """
 
 from __future__ import annotations

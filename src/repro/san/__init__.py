@@ -13,7 +13,6 @@ SAN and is used to cross-validate the two implementations.
 
 from .activities import Arc, Case, InstantaneousActivity, TimedActivity
 from .compose import join, replicate
-from .export import to_dot
 from .gates import InputGate, OutputGate
 from .marking import Marking
 from .model import SANModel, SANStructureError
@@ -39,7 +38,6 @@ __all__ = [
     "SANModel",
     "SANStructureError",
     "join",
-    "to_dot",
     "replicate",
     "RateReward",
     "ImpulseReward",

@@ -24,8 +24,8 @@ plateau) within a declared ratio band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +54,9 @@ from .scenarios import (
     DifferentialScenario,
     baseline_differential_scenarios,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..frontier.crosscheck import CrosscheckResult
 
 
 @dataclass(frozen=True)
@@ -124,21 +127,12 @@ class ScenarioVerdict:
             "san_finals": [float(v) for v in self.san_finals],
             "xl_finals": [float(v) for v in self.xl_finals],
             "core_mean": self.core_summary.mean,
-            "san_mean": self.san_summary.mean,
+            "san_mean": self.san_summary.mean if self.san_finals else None,
             "xl_mean": self.xl_summary.mean if self.xl_finals else None,
             "plateau_prediction": self.plateau_prediction,
             "meanfield_half_time": self.meanfield_half_time,
             "core_half_time": self.core_half_time,
-            "gates": [
-                {
-                    "name": g.name,
-                    "passed": g.passed,
-                    "statistic": g.statistic,
-                    "threshold": g.threshold,
-                    "detail": g.detail,
-                }
-                for g in self.gates
-            ],
+            "gates": [asdict(g) for g in self.gates],
         }
 
 
@@ -355,13 +349,16 @@ def run_bluetooth_differential(
 
 @dataclass
 class FrontierDifferential:
-    """Core-vs-xl agreement on one scenario's critical latency."""
+    """Core-vs-xl agreement on one matched scenario's critical latency.
 
-    scenario: DifferentialScenario
-    core: Any  # FrontierResult
-    xl: Any  # FrontierResult
-    analytic: Any  # AnalyticFrontier
-    gates: List[GateResult] = field(default_factory=list)
+    ``core`` and ``xl`` are the two engines' cross-checks of the same
+    matched scenario; each holds its simulated frontier and the
+    mean-field frontier it was judged against.
+    """
+
+    core: CrosscheckResult
+    xl: CrosscheckResult
+    gates: List[GateResult]
 
     @property
     def passed(self) -> bool:
@@ -369,65 +366,33 @@ class FrontierDifferential:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "scenario": self.scenario.name,
-            "virus": self.scenario.virus_number,
+            "scenario": self.core.simulated.scenario,
             "passed": self.passed,
-            "core": self.core.manifest_section(),
-            "xl": self.xl.manifest_section(),
-            "analytic": self.analytic.to_dict(),
-            "gates": [
-                {
-                    "name": g.name,
-                    "passed": g.passed,
-                    "statistic": g.statistic,
-                    "threshold": g.threshold,
-                    "detail": g.detail,
-                }
-                for g in self.gates
-            ],
+            "core": self.core.simulated.manifest_section(),
+            "xl": self.xl.simulated.manifest_section(),
+            "analytic": self.core.analytic.to_dict(),
+            "gates": [asdict(g) for g in self.gates],
         }
 
     def format_report(self) -> str:
+        core, xl = self.core.simulated, self.xl.simulated
+        analytic = self.core.analytic
         lines = [
-            f"frontier differential: {self.scenario.name} "
-            f"(critical latency, hours)",
-            f"  core: {self.core.critical:.2f} "
-            f"[{self.core.bisection.low:.2f}, {self.core.bisection.high:.2f}] "
-            f"({self.core.status})",
-            f"  xl:   {self.xl.critical:.2f} "
-            f"[{self.xl.bisection.low:.2f}, {self.xl.bisection.high:.2f}] "
-            f"({self.xl.status})",
-            f"  mean-field: {self.analytic.critical:.2f} "
-            f"({self.analytic.status})",
+            f"frontier differential: {core.scenario} (critical latency, hours)",
+            f"  core: {core.critical:.2f} "
+            f"[{core.bisection.low:.2f}, {core.bisection.high:.2f}] "
+            f"({core.status})",
+            f"  xl:   {xl.critical:.2f} "
+            f"[{xl.bisection.low:.2f}, {xl.bisection.high:.2f}] "
+            f"({xl.status})",
+            f"  mean-field: {analytic.critical:.2f} ({analytic.status})",
         ]
         for gate in self.gates:
             lines.append(f"  {gate.format()}")
         return "\n".join(lines)
 
 
-def _interval_gate(
-    value: float,
-    low: float,
-    high: float,
-    slack: float,
-    name: str,
-) -> GateResult:
-    """``value`` lies inside ``[low - slack, high + slack]``."""
-    passed = low - slack <= value <= high + slack
-    return GateResult(
-        name=name,
-        passed=passed,
-        statistic=value,
-        threshold=high + slack,
-        detail=(
-            f"value={value:.2f} vs bracket [{low:.2f}, {high:.2f}] "
-            f"± {slack:g}"
-        ),
-    )
-
-
 def run_frontier_differential(
-    scenario: Optional[DifferentialScenario] = None,
     seed: int = VALIDATION_SEED,
     replications: int = 3,
     low: float = 0.0,
@@ -438,102 +403,83 @@ def run_frontier_differential(
     gate_slack: float = 6.0,
     scheduler: Optional[Any] = None,
 ) -> FrontierDifferential:
-    """Gate core-vs-xl frontier estimates on one matched scenario.
+    """Gate core-vs-xl frontier estimates on the matched virus-1 blacklist.
 
-    Both engines bisect the same matched virus × mechanism over the same
-    latency range; the gates require (1) the two critical latencies to
-    agree within ``latency_tolerance`` hours (2× the default bisection
-    tolerance — one step of bracket disagreement), (2) each engine's
-    bracket to contain the other's critical, and (3) the mean-field
-    critical to land inside both engines' replication-spread confidence
-    brackets (± ``gate_slack``).  The default scenario is the matched
-    virus-1 blacklist at the cross-check threshold, where containment is
-    deep and the crossing steep (see :mod:`repro.frontier.crosscheck`).
+    Both engines run :func:`repro.frontier.run_crosscheck` on the same
+    matched virus × mechanism over the same latency range, sharing one
+    scheduler; the blacklist is sharpened to the cross-check threshold,
+    where containment is deep and the crossing steep (see
+    :mod:`repro.frontier.crosscheck`).  The gates require (1) the two
+    critical latencies to agree within ``latency_tolerance`` hours (2×
+    the default bisection tolerance — one step of bracket
+    disagreement), (2) each engine's bracket to contain the other's
+    critical, and (3) the mean-field critical to land inside both
+    engines' replication-spread confidence brackets (± ``gate_slack``).
     """
     from ..core.parameters import BlacklistConfig
     from ..experiments.scheduler import ReplicationScheduler
-    from ..frontier import FrontierSolver, mean_field_frontier
-    from ..frontier.crosscheck import MATCHED_BLACKLIST_THRESHOLD
-    from .scenarios import frontier_matched_scenario
+    from ..frontier import run_crosscheck
 
-    if scenario is None:
-        scenario = frontier_matched_scenario(
-            1,
-            BlacklistConfig(threshold=MATCHED_BLACKLIST_THRESHOLD),
-            replications=replications,
-        )
     owned = scheduler is None
     if owned:
         scheduler = ReplicationScheduler(processes=1)
     try:
-        solver = FrontierSolver(
-            scheduler,
-            replications=replications,
-            seed=seed,
-            fraction=fraction,
-            tolerance=tolerance,
-        )
-        core = solver.solve(scenario.config, low=low, high=high)
-        xl = solver.solve(
-            scenario.config.with_engine("xl"), low=low, high=high
-        )
+        core, xl = [
+            run_crosscheck(
+                1,
+                BlacklistConfig(),
+                scheduler,
+                low,
+                high,
+                fraction=fraction,
+                tolerance=tolerance,
+                replications=replications,
+                seed=seed,
+                engine=engine,
+                slack=gate_slack,
+            )
+            for engine in ("core", "xl")
+        ]
     finally:
         if owned:
             scheduler.close()
-    analytic = mean_field_frontier(
-        scenario.config,
-        low=low,
-        high=high,
-        fraction=fraction,
-        tolerance=min(1.0, tolerance),
-    )
+    delta = abs(core.simulated.critical - xl.simulated.critical)
     gates = [
         GateResult(
             name="core-vs-xl critical latency",
             passed=(
-                core.status == xl.status
-                and abs(core.critical - xl.critical) <= latency_tolerance
+                core.simulated.status == xl.simulated.status
+                and delta <= latency_tolerance
             ),
-            statistic=abs(core.critical - xl.critical),
+            statistic=delta,
             threshold=latency_tolerance,
             detail=(
-                f"|Δcritical|={abs(core.critical - xl.critical):.2f} h vs "
+                f"|Δcritical|={delta:.2f} h vs "
                 f"tolerance {latency_tolerance:g} h "
-                f"(core {core.status}, xl {xl.status})"
+                f"(core {core.simulated.status}, xl {xl.simulated.status})"
             ),
-        ),
-        _interval_gate(
-            xl.critical,
-            core.confidence_low,
-            core.confidence_high,
-            slack=gate_slack,
-            name="xl critical in core confidence bracket",
-        ),
-        _interval_gate(
-            core.critical,
-            xl.confidence_low,
-            xl.confidence_high,
-            slack=gate_slack,
-            name="core critical in xl confidence bracket",
-        ),
-        _interval_gate(
-            analytic.critical,
-            core.confidence_low,
-            core.confidence_high,
-            slack=gate_slack,
-            name="mean-field critical in core confidence bracket",
-        ),
-        _interval_gate(
-            analytic.critical,
-            xl.confidence_low,
-            xl.confidence_high,
-            slack=gate_slack,
-            name="mean-field critical in xl confidence bracket",
-        ),
+        )
     ]
-    return FrontierDifferential(
-        scenario=scenario, core=core, xl=xl, analytic=analytic, gates=gates
-    )
+    for label, value, bracket in (
+        ("xl critical", xl.simulated.critical, core.simulated),
+        ("core critical", core.simulated.critical, xl.simulated),
+        ("mean-field critical", core.analytic.critical, core.simulated),
+        ("mean-field critical", xl.analytic.critical, xl.simulated),
+    ):
+        gates.append(
+            GateResult(
+                name=f"{label} in {bracket.engine} confidence bracket",
+                passed=bracket.contains(value, gate_slack),
+                statistic=value,
+                threshold=bracket.confidence_high + gate_slack,
+                detail=(
+                    f"value={value:.2f} vs bracket "
+                    f"[{bracket.confidence_low:.2f}, "
+                    f"{bracket.confidence_high:.2f}] ± {gate_slack:g}"
+                ),
+            )
+        )
+    return FrontierDifferential(core=core, xl=xl, gates=gates)
 
 
 @dataclass

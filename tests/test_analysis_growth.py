@@ -1,4 +1,4 @@
-"""Tests for growth-rate / R0 estimation."""
+"""Tests for early growth-rate and doubling-time estimation."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.analysis import (
     StepCurve,
     doubling_time,
-    estimate_r0,
     exponential_growth_rate,
 )
 
@@ -49,15 +48,6 @@ class TestGrowthRate:
 
 
 class TestR0:
-    def test_euler_lotka_identity(self):
-        curve = exponential_then_plateau(rate=0.2)
-        r0 = estimate_r0(curve, generation_time=2.0)
-        assert r0 == pytest.approx(np.exp(0.2 * 2.0), rel=0.12)
-
-    def test_generation_time_validation(self):
-        with pytest.raises(ValueError):
-            estimate_r0(exponential_then_plateau(), generation_time=0.0)
-
     def test_simulated_virus_ordering(self):
         """V3's growth rate dwarfs V1's in actual simulations."""
         from repro.core import NetworkParameters, baseline_scenario

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import StepCurve, ascii_chart, format_series_summary, format_table
+from repro.analysis import StepCurve, ascii_chart, format_table
 
 
 class TestFormatTable:
@@ -63,15 +63,3 @@ class TestAsciiChart:
     def test_flat_zero_series_supported(self):
         chart = ascii_chart({"flat": StepCurve.constant(0.0)}, width=40, height=10)
         assert "flat" in chart
-
-
-class TestSeriesSummary:
-    def test_summary_table(self):
-        series = {
-            "a": StepCurve([(0.0, 0.0), (5.0, 80.0)]),
-            "b": StepCurve([(0.0, 0.0), (5.0, 40.0)]),
-        }
-        text = format_series_summary(series, susceptible=160, checkpoints=(2.0, 5.0))
-        assert "50.0%" in text  # 80/160
-        assert "25.0%" in text
-        assert "t=2h" in text

@@ -2,23 +2,14 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.analysis import (
     StepCurve,
-    containment_ratio,
-    delay_to_level,
-    expected_plateau,
     growth_concentration,
     is_s_shaped,
-    plateau_reached,
-    ratio,
-    relative_change,
     summarize,
-    summarize_epidemic,
     welch_t_test,
 )
 from repro.analysis.stats import mann_whitney_u, mean_difference_ci
@@ -56,18 +47,6 @@ class TestSummarize:
             summarize([])
         with pytest.raises(ValueError):
             summarize([1.0], confidence=1.5)
-
-
-class TestRatios:
-    def test_relative_change(self):
-        assert relative_change(150.0, 100.0) == pytest.approx(0.5)
-        assert relative_change(0.0, 0.0) == 0.0
-        assert math.isinf(relative_change(1.0, 0.0))
-
-    def test_ratio(self):
-        assert ratio(50.0, 100.0) == 0.5
-        assert ratio(0.0, 0.0) == 1.0
-        assert math.isinf(ratio(1.0, 0.0))
 
 
 class TestWelch:
@@ -141,35 +120,6 @@ def logistic_curve(final=320.0, rate=0.08, midpoint=80.0, end=432.0) -> StepCurv
 
 
 class TestEpidemicMeasures:
-    def test_summary(self):
-        curve = logistic_curve()
-        summary = summarize_epidemic(curve, susceptible=800)
-        assert summary.final_infected == pytest.approx(320.0, rel=0.01)
-        assert summary.penetration == pytest.approx(0.4, abs=0.01)
-        assert summary.time_to_half_final == pytest.approx(80.0, abs=5.0)
-        assert summary.time_to_90pct_final > summary.time_to_half_final
-
-    def test_containment_ratio(self):
-        baseline = logistic_curve(final=320.0)
-        contained = logistic_curve(final=16.0)
-        assert containment_ratio(contained, baseline) == pytest.approx(0.05, abs=0.01)
-
-    def test_delay_to_level(self):
-        fast = logistic_curve(midpoint=50.0)
-        slow = logistic_curve(midpoint=150.0)
-        delay = delay_to_level(slow, fast, level=160.0)
-        assert delay == pytest.approx(100.0, abs=5.0)
-
-    def test_delay_none_when_never_reached(self):
-        baseline = logistic_curve(final=320.0)
-        contained = logistic_curve(final=50.0)
-        assert delay_to_level(contained, baseline, level=160.0) is None
-
-    def test_delay_requires_baseline_reaching(self):
-        low = logistic_curve(final=50.0)
-        with pytest.raises(ValueError):
-            delay_to_level(low, low, level=160.0)
-
     def test_s_shape_detection(self):
         assert is_s_shaped(logistic_curve())
         linear = StepCurve([(0.0, 0.0), (432.0, 320.0)])
@@ -187,15 +137,3 @@ class TestEpidemicMeasures:
             + [(432.0, 320.0)]
         )
         assert growth_concentration(steps) > growth_concentration(smooth)
-
-    def test_plateau_reached(self):
-        assert plateau_reached(logistic_curve(rate=0.2, midpoint=50.0, end=432.0))
-        still_growing = logistic_curve(rate=0.01, midpoint=400.0, end=432.0)
-        assert not plateau_reached(still_growing)
-
-    def test_expected_plateau_paper_number(self):
-        assert expected_plateau(800, 0.40) == pytest.approx(320.0)
-        with pytest.raises(ValueError):
-            expected_plateau(-1, 0.4)
-        with pytest.raises(ValueError):
-            expected_plateau(800, 1.4)

@@ -18,13 +18,11 @@ from repro.design import (
     ablate,
     build_scenario,
     compile_design,
-    concat,
     cross,
     derive_factor,
     design_from_dict,
     latin_square,
     load_design,
-    nest,
     render_label,
 )
 from repro.design.library import UnknownExperimentError, get_design, get_experiment
@@ -58,37 +56,9 @@ def test_cross_rejects_shared_factors():
         cross(virus_factor(1), virus_factor(2))
 
 
-def test_concat_requires_matching_factor_sets():
-    with pytest.raises(DesignError, match="share one factor set"):
-        concat(virus_factor(1), Factor.of("duration", (6.0,)))
-    both = concat(virus_factor(1), virus_factor(2))
-    assert [p["virus"].label for p in both.points()] == ["virus1", "virus2"]
-
-
-def test_operator_sugar_builds_cross_and_concat():
+def test_operator_sugar_builds_cross():
     product = virus_factor(1, 2) * Factor.of("duration", (6.0, 12.0))
     assert product.size == 4
-    chained = virus_factor(1) + virus_factor(2)
-    assert chained.size == 2
-
-
-def test_nest_selects_child_design_per_outer_level():
-    outer = Factor.of("virus", (1, 3), fmt="virus{}")
-    nested = nest(
-        outer,
-        {
-            "virus1": Factor("response", (Level("slow", ()),)),
-            "virus3": Factor(
-                "response", (Level("th10", (BlacklistConfig(threshold=10),)),)
-            ),
-        },
-    )
-    labels = [
-        (p["virus"].label, p["response"].label) for p in nested.points()
-    ]
-    assert labels == [("virus1", "slow"), ("virus3", "th10")]
-    with pytest.raises(DesignError, match="no child design"):
-        nest(outer, {"virus1": Factor("response", (Level("x", ()),))})
 
 
 def test_ablate_prepends_baseline_and_rejects_collision():

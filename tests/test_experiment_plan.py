@@ -1,8 +1,8 @@
 """One experiment path: every run plans its jobs through one planner.
 
 ``plan_experiment`` is the only place a spec becomes scheduler jobs.
-``run_experiment``, ``ReplicationScheduler.run_batch`` and the design
-layer's ``compile_design`` must therefore agree job for job, including
+``ReplicationScheduler.run_experiment``, ``ReplicationScheduler.run_batch``
+and the design layer's ``compile_design`` must therefore agree job for job, including
 on designs whose ``engine`` and ``seed`` factors change each series'
 engine and master seed.  ``repro.design`` builds on
 ``repro.experiments`` and never the other way round, so every design
@@ -21,7 +21,7 @@ from repro.core.cache import result_key
 from repro.core.serialization import result_to_dict
 from repro.design import ExperimentDesign, Factor, compile_design, cross
 from repro.design.library import get_experiment
-from repro.experiments import ReplicationScheduler, plan_experiment, run_experiment
+from repro.experiments import ReplicationScheduler, plan_experiment
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -97,7 +97,8 @@ def test_every_path_keeps_the_engine_and_seed_factors(factored_design, monkeypat
     ]
 
     calls = _recording_run_jobs(monkeypatch)
-    via_runner = run_experiment(factored_design.to_spec(), replications=1)
+    with ReplicationScheduler() as scheduler:
+        via_runner = scheduler.run_experiment(factored_design.to_spec(), replications=1)
     with ReplicationScheduler() as scheduler:
         (via_batch,) = scheduler.run_batch([factored_design.to_spec()], replications=1)
     assert calls == [expected, expected]

@@ -9,10 +9,10 @@ from repro.design.library import PAPER_PLATEAU, experiment_ids, get_experiment
 from repro.experiments import (
     CheckResult,
     ExperimentSpec,
+    ReplicationScheduler,
     SeriesSpec,
     export_csv,
     format_experiment_report,
-    run_experiment,
 )
 from repro.experiments import checks
 
@@ -125,7 +125,8 @@ def tiny_experiment() -> ExperimentSpec:
 
 class TestRunner:
     def test_run_and_report(self, tmp_path):
-        result = run_experiment(tiny_experiment(), replications=2, seed=1)
+        with ReplicationScheduler() as scheduler:
+            result = scheduler.run_experiment(tiny_experiment(), replications=2, seed=1)
         assert result.replications == 2
         assert set(result.series_results) == {"baseline", "educated"}
         report = format_experiment_report(result)
@@ -136,21 +137,24 @@ class TestRunner:
         assert curves["baseline"].final_value >= curves["educated"].final_value
 
     def test_checks_run(self):
-        result = run_experiment(tiny_experiment(), replications=2, seed=1)
+        with ReplicationScheduler() as scheduler:
+            result = scheduler.run_experiment(tiny_experiment(), replications=2, seed=1)
         outcomes = result.run_checks()
         assert len(outcomes) == 2
         assert all(isinstance(c, CheckResult) for c in outcomes)
 
     def test_csv_export(self, tmp_path):
-        result = run_experiment(tiny_experiment(), replications=1, seed=1)
+        with ReplicationScheduler() as scheduler:
+            result = scheduler.run_experiment(tiny_experiment(), replications=1, seed=1)
         path = export_csv(result, tmp_path / "out" / "tiny.csv", grid_points=10)
         content = path.read_text().splitlines()
         assert content[0] == "hours,baseline,educated"
         assert len(content) == 11
 
     def test_reproducible(self):
-        a = run_experiment(tiny_experiment(), replications=1, seed=5)
-        b = run_experiment(tiny_experiment(), replications=1, seed=5)
+        with ReplicationScheduler() as scheduler:
+            a = scheduler.run_experiment(tiny_experiment(), replications=1, seed=5)
+            b = scheduler.run_experiment(tiny_experiment(), replications=1, seed=5)
         assert (
             a.series_results["baseline"].final_infected()
             == b.series_results["baseline"].final_infected()
@@ -159,7 +163,9 @@ class TestRunner:
 
 class TestCheckBuilders:
     def run_tiny(self):
-        return run_experiment(tiny_experiment(), replications=2, seed=1).series_results
+        with ReplicationScheduler() as scheduler:
+            result = scheduler.run_experiment(tiny_experiment(), replications=2, seed=1)
+        return result.series_results
 
     def test_plateau_near(self):
         results = self.run_tiny()

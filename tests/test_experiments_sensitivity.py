@@ -12,7 +12,7 @@ from repro.design.library import (
     get_design,
 )
 from repro.design.model import Factor, Level
-from repro.experiments import run_experiment
+from repro.experiments import ReplicationScheduler
 from repro.experiments.sensitivity import (
     format_sweep,
     knee_point,
@@ -64,9 +64,10 @@ def tiny_sweep(axis: SweepAxis = TINY_AXIS):
 
 
 def run_tiny(replications: int, seed: int):
-    return run_experiment(
-        tiny_sweep().to_spec(), replications=replications, seed=seed
-    )
+    with ReplicationScheduler() as scheduler:
+        return scheduler.run_experiment(
+            tiny_sweep().to_spec(), replications=replications, seed=seed
+        )
 
 
 class TestRunSweep:

@@ -30,7 +30,6 @@ from repro.experiments import (
     SeriesSpec,
     plan_experiment,
     reassemble,
-    run_experiment,
 )
 from repro.obs.metrics import Metrics
 
@@ -99,7 +98,8 @@ class TestBitIdentity:
             series.label: replicate_scenario(series.scenario, replications=2, seed=11)
             for series in mini_spec.series
         }
-        result = run_experiment(mini_spec, replications=2, seed=11)
+        with ReplicationScheduler() as scheduler:
+            result = scheduler.run_experiment(mini_spec, replications=2, seed=11)
         for label, expected_set in expected.items():
             _assert_sets_identical(result.series_results[label], expected_set)
 
@@ -108,17 +108,18 @@ class TestBitIdentity:
             series.label: replicate_scenario(series.scenario, replications=2, seed=11)
             for series in mini_spec.series
         }
-        result = run_experiment(mini_spec, replications=2, seed=11, processes=2)
+        with ReplicationScheduler(processes=2) as scheduler:
+            result = scheduler.run_experiment(mini_spec, replications=2, seed=11)
         for label, expected_set in expected.items():
             _assert_sets_identical(result.series_results[label], expected_set)
 
     def test_cached_rerun_matches_reference(self, mini_spec, tmp_path):
-        expected = run_experiment(mini_spec, replications=2, seed=11)
-        cache = ResultCache(tmp_path / "cache")
-        run_experiment(mini_spec, replications=2, seed=11, cache=cache)
-        cached = run_experiment(
-            mini_spec, replications=2, seed=11, cache=ResultCache(tmp_path / "cache")
-        )
+        with ReplicationScheduler() as scheduler:
+            expected = scheduler.run_experiment(mini_spec, replications=2, seed=11)
+        with ReplicationScheduler(cache=ResultCache(tmp_path / "cache")) as scheduler:
+            scheduler.run_experiment(mini_spec, replications=2, seed=11)
+        with ReplicationScheduler(cache=ResultCache(tmp_path / "cache")) as scheduler:
+            cached = scheduler.run_experiment(mini_spec, replications=2, seed=11)
         for label in expected.series_results:
             _assert_sets_identical(
                 cached.series_results[label], expected.series_results[label]
@@ -180,10 +181,11 @@ class TestBatch:
             description="second batch spec",
             series=(SeriesSpec("solo", mini_scenario),),
         )
-        individual = [
-            run_experiment(mini_spec, replications=1, seed=5),
-            run_experiment(other, replications=1, seed=5),
-        ]
+        with ReplicationScheduler() as scheduler:
+            individual = [
+                scheduler.run_experiment(mini_spec, replications=1, seed=5),
+                scheduler.run_experiment(other, replications=1, seed=5),
+            ]
         with ReplicationScheduler(metrics=Metrics(enabled=True)) as scheduler:
             batched = scheduler.run_batch([mini_spec, other], replications=1, seed=5)
             # Both plans run as one batch (one run_jobs call), and the
@@ -219,7 +221,8 @@ class TestBatch:
             batched = scheduler.run_batch(specs, replications=2, seed=3)
             assert scheduler.stats.executed == len(keys)
         for spec, many in zip(specs, batched):
-            solo = run_experiment(spec, replications=2, seed=3)
+            with ReplicationScheduler() as scheduler:
+                solo = scheduler.run_experiment(spec, replications=2, seed=3)
             assert list(many.series_results) == list(solo.series_results)
             for label, expected in solo.series_results.items():
                 _assert_sets_identical(many.series_results[label], expected)
@@ -345,7 +348,8 @@ class TestTelemetry:
         assert tele["events_executed"] == 0
 
     def test_results_identical_with_telemetry_enabled(self, mini_spec):
-        plain = run_experiment(mini_spec, replications=2, seed=6)
+        with ReplicationScheduler() as scheduler:
+            plain = scheduler.run_experiment(mini_spec, replications=2, seed=6)
         with ReplicationScheduler(
             processes=1, metrics=Metrics(enabled=True)
         ) as scheduler:
@@ -463,14 +467,12 @@ class TestAutoDegrade:
     def test_forced_processes_bit_identical_to_serial(
         self, mini_spec, auto_degrade
     ):
-        expected = run_experiment(mini_spec, replications=2, seed=11)
-        forced = run_experiment(
-            mini_spec,
-            replications=2,
-            seed=11,
-            processes=4,
-            auto_degrade=auto_degrade,
-        )
+        with ReplicationScheduler() as scheduler:
+            expected = scheduler.run_experiment(mini_spec, replications=2, seed=11)
+        with ReplicationScheduler(
+            processes=4, auto_degrade=auto_degrade
+        ) as scheduler:
+            forced = scheduler.run_experiment(mini_spec, replications=2, seed=11)
         for label in expected.series_results:
             _assert_sets_identical(
                 forced.series_results[label], expected.series_results[label]

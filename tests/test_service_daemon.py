@@ -24,11 +24,6 @@ import pytest
 
 from repro.core.parallel import run_indexed_job
 from repro.core.serialization import result_to_dict
-
-# repro.experiments must initialize before repro.design (the design
-# library's factor builders import back into the experiment registry).
-import repro.experiments  # noqa: F401
-
 from repro.design.compile import compile_design
 from repro.design.io import design_from_dict
 from repro.obs.manifest import (

@@ -12,6 +12,7 @@ from repro.topology import (
     clustering_coefficient,
     complete_graph,
     connected_components,
+    degree_assortativity,
     degree_histogram,
     erdos_renyi,
     largest_component_fraction,
@@ -19,7 +20,7 @@ from repro.topology import (
     ring_lattice,
     shortest_path_lengths,
 )
-from repro.topology.csr import _from_pairs
+from repro.topology.csr import _from_pairs, configuration_model
 
 
 def test_degree_stats():
@@ -121,3 +122,30 @@ def test_powerlaw_mle_distinguishes_heavy_from_light_tails():
 def test_powerlaw_mle_needs_tail():
     with pytest.raises(ValueError):
         powerlaw_exponent_mle([1], x_min=1)
+
+
+class TestAssortativity:
+    def test_regular_graph_degenerate(self):
+        assert degree_assortativity(complete_graph(6)) == 0.0
+
+    def test_empty_graph(self):
+        assert degree_assortativity(_from_pairs(5, [])) == 0.0
+
+    def test_star_is_disassortative(self):
+        star = _from_pairs(6, [(0, i) for i in range(1, 6)])
+        assert degree_assortativity(star) == pytest.approx(-1.0)
+
+    def test_assortative_construction(self):
+        # Two cliques of different sizes joined by one edge: high-degree
+        # nodes mostly link to high-degree nodes.
+        edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        edges += [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
+        graph = _from_pairs(9, edges + [(0, 5)])
+        assert degree_assortativity(graph) > 0.0
+
+    def test_configuration_model_near_neutral(self):
+        graph = configuration_model(
+            600, 12.0, 1.8, np.random.default_rng(0)
+        )
+        r = degree_assortativity(graph)
+        assert -0.35 < r < 0.15
