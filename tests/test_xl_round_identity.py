@@ -6,7 +6,10 @@ splits, no per-round ``lexsort``/``np.unique``).  For each case it holds
 the sha256 of one replication's infection times, counters, response
 statistics, detection time, patient zero and final time.  Any change to
 the round loop must reproduce every digest exactly: the same RNG draws in
-the same order, the same counters and the same bucket contents.
+the same order, the same counters and the same bucket contents.  The
+three V3 cases below the xl-100k one were recorded later, from the engine
+before its send batches were built in recipient space and its active sets
+merge-inserted, to pin paths the earlier cases never reach.
 
 Re-record only when a change is meant to move results::
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from dataclasses import replace
 from typing import Callable, Dict
 
 import pytest
@@ -43,10 +47,22 @@ def _v1_with(response) -> Callable[[], ScenarioConfig]:
     return lambda: xl_scenario(1, "xl-10k").with_responses(response)
 
 
+def _v3_replacing(part: str, **fields) -> Callable[[], ScenarioConfig]:
+    """V3 at xl-10k with fields of its ``virus`` or ``network`` replaced."""
+
+    def build() -> ScenarioConfig:
+        base = xl_scenario(3, "xl-10k")
+        return replace(base, **{part: replace(getattr(base, part), **fields)})
+
+    return build
+
+
 #: label -> scenario builder.  Responses run on V1 over its paper
 #: horizon (V1 never trips the volume monitor, so V3 pins its flagging
 #: path); the blacklist case with a deployment delay exercises the
-#: latency and rollout draws.
+#: latency and rollout draws.  The last three V3 cases pin paths no paper
+#: virus reaches: random dialing with several recipients per message, a
+#: zero-delay gateway, and both gateway filters under a partial rollout.
 CASES: Dict[str, Callable[[], ScenarioConfig]] = {
     "v1-xl-10k": lambda: xl_scenario(1, "xl-10k"),
     "v2-xl-10k": lambda: xl_scenario(2, "xl-10k"),
@@ -67,6 +83,11 @@ CASES: Dict[str, Callable[[], ScenarioConfig]] = {
         1, "xl-10k", duration=48.0, mobility=density_matched_mobility(10_000)
     ),
     "v3-xl-100k-24h": lambda: xl_scenario(3, "xl-100k", duration=24.0),
+    "v3-dial-3-recipients": _v3_replacing("virus", recipients_per_message=3),
+    "v3-zero-gateway-delay": _v3_replacing("network", gateway_delay_mean=0.0),
+    "v3-scan-da-rollout": lambda: xl_scenario(3, "xl-10k")
+    .with_responses(GatewayScanConfig(), DetectionAlgorithmConfig())
+    .with_deployment(ResponseDeployment(latency_hours=2.0, rollout_rate=0.5)),
 }
 
 #: Cases too long for tier-1 (run with ``-m slow``).
