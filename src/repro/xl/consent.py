@@ -5,8 +5,10 @@ accepts the *n*-th infected message ever received is ``AF / 2**n``,
 treated as zero beyond :data:`~repro.core.user.ACCEPTANCE_NEGLIGIBLE_AFTER`
 messages.  The helpers here operate on whole delivery batches — arrays of
 recipient ids with one entry per delivered message copy — so the xl
-engine can decide consent for thousands of deliveries in a handful of
-NumPy operations.
+engine decides consent for thousands of deliveries in a handful of NumPy
+passes: :func:`message_indices` numbers each copy within its phone's
+series, and an :func:`acceptance_table` turns those numbers into
+probabilities by lookup.
 """
 
 from __future__ import annotations
@@ -32,59 +34,48 @@ def acceptance_probabilities(factor: float, n: np.ndarray) -> np.ndarray:
     return np.where(valid, probabilities, 0.0)
 
 
-def occurrence_index(sorted_ids: np.ndarray) -> np.ndarray:
-    """0-based occurrence index of each element within its run of equal ids.
+def acceptance_table(factor: float) -> np.ndarray:
+    """:func:`acceptance_probabilities` for ``n = 0 .. NEGLIGIBLE_AFTER + 1``.
 
-    ``sorted_ids`` must be sorted so equal ids are contiguous.  For
-    ``[3, 3, 5, 7, 7, 7]`` returns ``[0, 1, 0, 0, 1, 2]`` — the
-    within-batch delivery number used to continue each phone's ``AF/2^n``
-    series across a batch containing several messages for one phone.
+    ``table[np.minimum(n, table.size - 1)]`` equals
+    ``acceptance_probabilities(factor, n)`` for every ``n >= 0``, bit for
+    bit: every index past the truncation lands on the last entry, a zero.
     """
-    ids = np.asarray(sorted_ids)
-    if ids.size == 0:
+    return acceptance_probabilities(
+        factor, np.arange(ACCEPTANCE_NEGLIGIBLE_AFTER + 2, dtype=np.int64)
+    )
+
+
+def message_indices(
+    sorted_recipients: np.ndarray, received_count: np.ndarray
+) -> np.ndarray:
+    """1-based "n-th infected message" index per delivery; counts them.
+
+    ``sorted_recipients`` holds one phone id per delivered message copy,
+    sorted so each phone's copies are contiguous; ``received_count`` is
+    the per-phone count of messages received before this batch.  Each
+    phone's copies continue its series without gaps (prior + 1, prior + 2,
+    ...), and ``received_count`` is advanced in place by the number of
+    copies each phone received: every delivery counts, accepted or not.
+    """
+    ids = np.asarray(sorted_recipients)
+    size = ids.size
+    if size == 0:
         return np.zeros(0, dtype=np.int64)
-    run_start = np.concatenate(([True], ids[1:] != ids[:-1]))
-    starts = np.nonzero(run_start)[0]
-    lengths = np.diff(np.concatenate((starts, [ids.size])))
-    return np.arange(ids.size, dtype=np.int64) - np.repeat(starts, lengths)
-
-
-def batch_message_indices(
-    sorted_recipients: np.ndarray, received_counts: np.ndarray
-) -> np.ndarray:
-    """1-based "n-th infected message" index for each delivery in a batch.
-
-    ``sorted_recipients`` holds one phone id per delivered message copy
-    (sorted); ``received_counts`` is the per-phone count of messages
-    received *before* this batch.  The returned ``n`` continues each
-    phone's series without gaps even when one batch delivers several
-    messages to the same phone.
-    """
-    recipients = np.asarray(sorted_recipients)
-    return received_counts[recipients] + occurrence_index(recipients) + 1
-
-
-def decide_batch(
-    factor: float,
-    sorted_recipients: np.ndarray,
-    received_counts: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Accept/reject draws for a sorted delivery batch.
-
-    Returns a boolean array aligned with ``sorted_recipients``.  The
-    caller is responsible for updating ``received_counts`` afterwards
-    (every delivery counts, accepted or not) and for masking out phones
-    that cannot become infected.
-    """
-    n = batch_message_indices(sorted_recipients, received_counts)
-    probabilities = acceptance_probabilities(factor, n)
-    return rng.random(len(n)) < probabilities
+    run_start = np.empty(size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    lengths = np.diff(starts, append=size)
+    # Within-run occurrence number plus the prior count, plus one.
+    n = np.arange(1, size + 1, dtype=np.int64) - np.repeat(starts, lengths)
+    n += received_count[ids]
+    received_count[ids[starts]] += lengths
+    return n
 
 
 __all__ = [
     "acceptance_probabilities",
-    "occurrence_index",
-    "batch_message_indices",
-    "decide_batch",
+    "acceptance_table",
+    "message_indices",
 ]

@@ -2,8 +2,9 @@
 
 Mirrors ``test_consent_series.py`` for the xl engine: the batched
 ``AF/2^n`` helpers must agree *elementwise* with the scalar reference in
-:mod:`repro.core.user` over random population vectors, and the implied
-ever-accept probability must stay at the paper's ~0.40 plateau.
+:mod:`repro.core.user` over random population vectors, the lookup table
+the engine indexes must equal the direct formula bit for bit, and the
+implied ever-accept probability must stay at the paper's ~0.40 plateau.
 """
 
 from __future__ import annotations
@@ -21,10 +22,20 @@ from repro.core.user import (
 )
 from repro.xl.consent import (
     acceptance_probabilities,
-    batch_message_indices,
-    decide_batch,
-    occurrence_index,
+    acceptance_table,
+    message_indices,
 )
+
+
+def _occurrence_index(sorted_ids: np.ndarray) -> np.ndarray:
+    """Reference: 0-based occurrence of each element within its run."""
+    ids = np.asarray(sorted_ids)
+    if ids.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    run_start = np.concatenate(([True], ids[1:] != ids[:-1]))
+    starts = np.nonzero(run_start)[0]
+    lengths = np.diff(np.concatenate((starts, [ids.size])))
+    return np.arange(ids.size, dtype=np.int64) - np.repeat(starts, lengths)
 
 
 @given(
@@ -57,6 +68,17 @@ def test_rejects_invalid_factor():
         acceptance_probabilities(1.5, np.array([1]))
     with pytest.raises(ValueError):
         acceptance_probabilities(-0.1, np.array([1]))
+    with pytest.raises(ValueError):
+        acceptance_table(1.5)
+
+
+@given(factor=st.floats(0.0, 1.0) | st.sampled_from([0.0, PAPER_ACCEPTANCE_FACTOR, 1.0]))
+@settings(max_examples=100, deadline=None)
+def test_acceptance_table_lookup_equals_probabilities(factor):
+    n = np.arange(ACCEPTANCE_NEGLIGIBLE_AFTER + 6, dtype=np.int64)
+    table = acceptance_table(factor)
+    looked_up = table[np.minimum(n, table.size - 1)]
+    assert np.array_equal(looked_up, acceptance_probabilities(factor, n))
 
 
 @given(
@@ -65,7 +87,8 @@ def test_rejects_invalid_factor():
 @settings(max_examples=100, deadline=None)
 def test_occurrence_index_counts_within_runs(ids):
     sorted_ids = np.sort(np.array(ids, dtype=np.int64))
-    occurrence = occurrence_index(sorted_ids)
+    # With no prior messages, n - 1 is the within-run occurrence index.
+    occurrence = message_indices(sorted_ids, np.zeros(10, dtype=np.int64)) - 1
     seen: dict = {}
     for identifier, occ in zip(sorted_ids, occurrence):
         assert occ == seen.get(int(identifier), 0)
@@ -79,15 +102,31 @@ def test_occurrence_index_counts_within_runs(ids):
 @settings(max_examples=100, deadline=None)
 def test_batch_indices_continue_each_phones_series(deliveries, prior):
     recipients = np.sort(np.array(deliveries, dtype=np.int64))
-    received = np.array(prior, dtype=np.int64)
-    n = batch_message_indices(recipients, received)
+    before = np.array(prior, dtype=np.int64)
+    received = before.copy()
+    n = message_indices(recipients, received)
     # Each phone's indices continue its series: prior + 1, prior + 2, ...
     for phone in np.unique(recipients):
-        expected_start = received[phone] + 1
+        expected_start = before[phone] + 1
         got = n[recipients == phone]
         assert list(got) == list(
             range(expected_start, expected_start + got.size)
         )
+    # ... and every delivery is counted, accepted or not.
+    assert np.array_equal(received, before + np.bincount(recipients, minlength=8))
+
+
+@given(
+    deliveries=st.lists(st.integers(0, 7), max_size=150),
+    prior=st.lists(st.integers(0, 20), min_size=8, max_size=8),
+)
+@settings(max_examples=100, deadline=None)
+def test_message_indices_equal_occurrence_reference(deliveries, prior):
+    recipients = np.sort(np.array(deliveries, dtype=np.int64))
+    before = np.array(prior, dtype=np.int64)
+    n = message_indices(recipients, before.copy())
+    assert n.dtype == np.int64
+    assert np.array_equal(n, before[recipients] + _occurrence_index(recipients) + 1)
 
 
 def test_cumulative_ever_accept_matches_paper_plateau():
@@ -97,13 +136,12 @@ def test_cumulative_ever_accept_matches_paper_plateau():
     received = np.zeros(population, dtype=np.int64)
     accepted = np.zeros(population, dtype=bool)
     all_phones = np.arange(population, dtype=np.int64)
+    table = acceptance_table(PAPER_ACCEPTANCE_FACTOR)
     for _ in range(ACCEPTANCE_NEGLIGIBLE_AFTER):
         pending = all_phones[~accepted]
-        decisions = decide_batch(
-            PAPER_ACCEPTANCE_FACTOR, pending, received, rng
-        )
+        n = message_indices(pending, received)
+        decisions = rng.random(n.size) < table[np.minimum(n, table.size - 1)]
         accepted[pending[decisions]] = True
-        received[pending] += 1
     ever = accepted.mean()
     expected = total_acceptance_probability(PAPER_ACCEPTANCE_FACTOR)
     assert expected == pytest.approx(0.40, abs=0.005)
@@ -111,14 +149,12 @@ def test_cumulative_ever_accept_matches_paper_plateau():
     assert ever == pytest.approx(expected, abs=0.011)
 
 
-def test_decide_batch_multiple_deliveries_same_phone():
+def test_message_indices_multiple_deliveries_same_phone():
     """Several messages to one phone in one batch step n without gaps."""
-    rng = np.random.default_rng(0)
     recipients = np.array([4, 4, 4], dtype=np.int64)
     received = np.zeros(8, dtype=np.int64)
-    n = batch_message_indices(recipients, received)
-    assert list(n) == [1, 2, 3]
-    decisions = decide_batch(1.0, recipients, received, rng)
-    # With factor 1.0 the first message accepts with p=0.5 etc.; the draw
-    # shape must match the batch shape regardless.
-    assert decisions.shape == recipients.shape
+    assert list(message_indices(recipients, received)) == [1, 2, 3]
+    assert received[4] == 3
+    # The next batch continues the series.
+    assert list(message_indices(recipients[:1], received)) == [4]
+    assert message_indices(recipients[:0], received).size == 0

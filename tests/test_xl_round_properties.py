@@ -1,10 +1,11 @@
 """Property tests for the xl round loop's sort-only helpers (hypothesis).
 
 ``id_time_order`` must return exactly the permutation
-``np.lexsort((times, ids))`` returns, and ``split_by_key`` must yield the
+``np.lexsort((times, ids))`` returns, ``split_by_key`` must yield the
 same keys and the same arrays, in the same order, as masking the batch
-once per key of ``np.unique(keys)``.  Small id and time alphabets force
-repeated ids, equal times and repeated keys.
+once per key of ``np.unique(keys)``, and ``insert_sorted`` must equal a
+concatenate-and-sort of two disjoint id sets.  Small id and time
+alphabets force repeated ids, equal times and repeated keys.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xl.engine import id_time_order, split_by_key
+from repro.xl.engine import id_time_order, insert_sorted, split_by_key
 
 _ids = st.integers(0, 12)
 _times = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0, 24.0])
@@ -75,3 +76,19 @@ def test_split_buckets_own_their_arrays(batch):
     if len(split) > 1:
         for _, key_ids, key_times in split:
             assert key_ids.base is None and key_times.base is None
+
+
+@given(st.sets(st.integers(0, 200), max_size=80), st.data())
+@settings(max_examples=150, deadline=None)
+def test_insert_sorted_equals_concatenate_sort(ids, data):
+    """Disjoint sorted active set + unsorted new ids, as ``_infect_batch``."""
+    pool = sorted(ids)
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    active = np.array([i for i, c in zip(pool, chosen) if c], dtype=np.int64)
+    new = np.array(
+        data.draw(st.permutations([i for i, c in zip(pool, chosen) if not c])),
+        dtype=np.int64,
+    )
+    merged = insert_sorted(active, new)
+    assert merged.dtype == np.int64
+    assert np.array_equal(merged, np.sort(np.concatenate((active, new))))
