@@ -23,10 +23,13 @@ Commands
     Strength sweep + diminishing-returns knee for one mechanism (§5.3).
 ``repro-sim profile --virus 1 --max-events 50000``
     Short instrumented run: hot-path breakdown by event label, ev/s,
-    kernel stats.  ``run``/``figure``/``sweep`` accept ``--metrics PATH``
-    to append a schema-valid JSONL run manifest (see ``repro.obs``).
+    kernel stats.  Every command that simulates through the scheduler
+    (``run``, ``scenario``, ``figure``, ``sweep``, ``frontier``,
+    ``design run``) accepts ``--metrics PATH`` to append a schema-valid
+    JSONL run manifest (see ``repro.obs``).
 ``repro-sim scenario my_scenario.json --replications 3``
-    Simulate a scenario loaded from a JSON file.
+    Simulate a scenario loaded from a JSON file, through the same
+    scheduler, cache and report as ``run``.
 ``repro-sim design show fig5`` / ``design compile my_design.toml`` /
 ``design run fig4 --processes 4``
     Work with declarative experiment designs (``repro.design``): show
@@ -65,7 +68,6 @@ from .core.parameters import (
 from .core.cache import ResultCache, default_cache_dir
 from .obs.metrics import Metrics
 from .core.scenarios import baseline_scenario
-from .core.simulation import replicate_scenario
 from .des.random import StreamFactory
 from .experiments import (
     ReplicationScheduler,
@@ -108,7 +110,7 @@ def _add_bluetooth_args(parser: argparse.ArgumentParser) -> None:
 
 def _mobility_from_args(args: argparse.Namespace) -> Optional[MobilityParameters]:
     """The waypoint-mobility config when ``--mobility`` was requested."""
-    if not getattr(args, "mobility", False):
+    if not args.mobility:
         return None
     return MobilityParameters(
         arena_size=args.arena_size,
@@ -155,7 +157,7 @@ population_int = _at_least(int, 2)  # NetworkParameters needs two phones
 
 
 def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
-    """Shared replication-scheduler flags (run/figure/sweep)."""
+    """Replication-scheduler flags every simulating command shares."""
     parser.add_argument(
         "--processes", type=positive_int, default=1,
         help="worker processes for replications (1 = serial; results are "
@@ -202,6 +204,20 @@ def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_response_args(parser: argparse.ArgumentParser) -> None:
+    """Response-strength flags ``run`` and ``frontier`` share."""
+    parser.add_argument("--delay", type=float, default=6.0,
+                        help="scan activation delay, hours")
+    parser.add_argument("--accuracy", type=float, default=0.95,
+                        help="detection algorithm accuracy")
+    parser.add_argument("--dev-time", type=float, default=24.0,
+                        help="patch development time, hours")
+    parser.add_argument("--deploy-window", type=float, default=6.0,
+                        help="patch deployment window, hours")
+    parser.add_argument("--threshold", type=int, default=10,
+                        help="blacklist threshold, messages")
+
+
 def add_daemon_args(parser: argparse.ArgumentParser) -> None:
     """Campaign-daemon flags (``repro-sim serve``, ``python -m repro.service``)."""
     parser.add_argument(
@@ -236,16 +252,16 @@ def _make_scheduler(
     """
     from .resilience import CampaignCheckpoint, RetryPolicy, default_checkpoint_path
 
-    if getattr(args, "resume", False) and args.no_cache:
+    if args.resume and args.no_cache:
         print("--resume requires the result cache (drop --no-cache)",
               file=sys.stderr)
         raise SystemExit(2)
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir if args.cache_dir else default_cache_dir())
-    metrics = Metrics(enabled=True) if getattr(args, "metrics", None) else None
+    metrics = Metrics(enabled=True) if args.metrics else None
     resilience = None
-    if getattr(args, "retries", 0) or getattr(args, "task_timeout", None):
+    if args.retries or args.task_timeout:
         resilience = RetryPolicy(
             max_retries=args.retries, task_timeout=args.task_timeout
         )
@@ -254,7 +270,7 @@ def _make_scheduler(
         checkpoint = CampaignCheckpoint(
             default_checkpoint_path(cache.root, label),
             label=label,
-            resume=getattr(args, "resume", False),
+            resume=args.resume,
         )
     return ReplicationScheduler(
         processes=args.processes,
@@ -262,12 +278,21 @@ def _make_scheduler(
         metrics=metrics,
         resilience=resilience,
         checkpoint=checkpoint,
-        auto_degrade=not getattr(args, "no_auto_degrade", False),
+        auto_degrade=not args.no_auto_degrade,
     )
 
 
-def _report_resume(scheduler: ReplicationScheduler) -> None:
-    """Print the --resume reconciliation line (when a resume happened)."""
+def _record_run(
+    args: argparse.Namespace,
+    scheduler: ReplicationScheduler,
+    label: str,
+    frontier: Optional[dict] = None,
+) -> None:
+    """Append the run manifest when ``--metrics PATH`` was given, then
+    print the ``--resume`` reconciliation line (when a resume happened)."""
+    if args.metrics:
+        path = scheduler.write_manifest(args.metrics, label=label, frontier=frontier)
+        print(f"run manifest appended to {path}")
     totals = scheduler.resume_totals
     if totals:
         print(
@@ -292,15 +317,6 @@ def _report_failures(scheduler: ReplicationScheduler) -> int:
     return 3
 
 
-def _write_cli_manifest(
-    args: argparse.Namespace, scheduler: ReplicationScheduler, label: str
-) -> None:
-    """Append the command's run manifest when ``--metrics PATH`` was given."""
-    if getattr(args, "metrics", None):
-        path = scheduler.write_manifest(args.metrics, label=label)
-        print(f"run manifest appended to {path}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -323,20 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
                  "monitoring", "blacklist"),
         default="none",
     )
-    run_parser.add_argument("--delay", type=float, default=6.0,
-                            help="scan activation delay, hours")
-    run_parser.add_argument("--accuracy", type=float, default=0.95,
-                            help="detection algorithm accuracy")
+    _add_response_args(run_parser)
     run_parser.add_argument("--scale", type=float, default=0.5,
                             help="education acceptance-factor scale")
-    run_parser.add_argument("--dev-time", type=float, default=24.0,
-                            help="patch development time, hours")
-    run_parser.add_argument("--deploy-window", type=float, default=6.0,
-                            help="patch deployment window, hours")
     run_parser.add_argument("--forced-wait", type=float, default=0.25,
                             help="monitoring forced wait, hours")
-    run_parser.add_argument("--threshold", type=int, default=10,
-                            help="blacklist threshold, messages")
     run_parser.add_argument("--population", type=population_int, default=1000)
     run_parser.add_argument("--duration", type=positive_float, default=None,
                             help="override horizon, hours")
@@ -387,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_parser.add_argument("--replications", type=positive_int, default=3)
     scenario_parser.add_argument("--seed", type=int, default=0)
     scenario_parser.add_argument("--no-chart", action="store_true")
+    _add_scheduler_args(scenario_parser)
 
     frontier_parser = subparsers.add_parser(
         "frontier",
@@ -406,16 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="deployable mechanism to bisect (monitoring/education are "
         "standing policies — deployment timing does not apply)",
     )
-    frontier_parser.add_argument("--delay", type=float, default=6.0,
-                                 help="scan activation delay, hours")
-    frontier_parser.add_argument("--accuracy", type=float, default=0.95,
-                                 help="detection algorithm accuracy")
-    frontier_parser.add_argument("--dev-time", type=float, default=24.0,
-                                 help="patch development time, hours")
-    frontier_parser.add_argument("--deploy-window", type=float, default=6.0,
-                                 help="patch deployment window, hours")
-    frontier_parser.add_argument("--threshold", type=int, default=10,
-                                 help="blacklist threshold, messages")
+    _add_response_args(frontier_parser)
     frontier_parser.add_argument(
         "--axis", choices=("latency", "rollout"), default="latency",
         help="bisect deployment latency (hours) or the rollout window "
@@ -604,7 +603,7 @@ def _build_response(args: argparse.Namespace) -> Optional[ResponseConfig]:
     raise ValueError(f"unknown response {args.response!r}")  # pragma: no cover
 
 
-def _command_list() -> int:
+def _command_list(args: argparse.Namespace) -> int:
     from .design.library import experiment_ids, get_experiment
 
     rows = []
@@ -652,20 +651,20 @@ def _run_scenario(args: argparse.Namespace) -> ScenarioConfig:
     return scenario
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    with _scenario_values(args):
-        scenario = _run_scenario(args)
-    with _make_scheduler(args, label=f"run:{scenario.name}") as scheduler:
+def _replicate_and_report(
+    args: argparse.Namespace, scenario: ScenarioConfig, label: str, heading: str
+) -> int:
+    """Replicate one scenario through the scheduler and print its report
+    (``run`` and ``scenario``); 3 when a replication was quarantined."""
+    with _make_scheduler(args, label=label) as scheduler:
         result_set = scheduler.replicate(
             scenario, replications=args.replications, seed=args.seed
         )
-        stats_line = scheduler.stats.format()
-    _write_cli_manifest(args, scheduler, label=f"run:{scenario.name}")
-    _report_resume(scheduler)
+    _record_run(args, scheduler, label)
     summary = result_set.final_summary()
-    print(f"scenario: {scenario.name}")
+    print(heading)
     print(f"replications: {result_set.replications}  (seed {args.seed})")
-    print(f"scheduler: {stats_line}")
+    print(f"scheduler: {scheduler.stats.format()}")
     print(f"final infected: {summary.format()}")
     print(
         f"penetration: {summary.mean / result_set.susceptible_count:.1%} of "
@@ -684,6 +683,30 @@ def _command_run(args: argparse.Namespace) -> int:
             )
         )
     return _report_failures(scheduler)
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    with _scenario_values(args):
+        scenario = _run_scenario(args)
+    return _replicate_and_report(
+        args, scenario, f"run:{scenario.name}", f"scenario: {scenario.name}"
+    )
+
+
+def _command_scenario(args: argparse.Namespace) -> int:
+    from .core.serialization import SerializationError, load_scenario
+
+    try:
+        scenario = load_scenario(args.path)
+    except (OSError, SerializationError) as exc:
+        print(f"cannot load scenario: {exc}", file=sys.stderr)
+        return 2
+    return _replicate_and_report(
+        args,
+        scenario,
+        f"scenario:{scenario.name}",
+        f"scenario: {scenario.name}  (from {args.path})",
+    )
 
 
 def _command_frontier(args: argparse.Namespace) -> int:
@@ -734,19 +757,13 @@ def _command_frontier(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     print(production.format())
+    section = {"production": production.manifest_section()}
     if crosscheck is not None:
         print()
         print("matched-scenario mean-field gate:")
         print(crosscheck.format())
-    if getattr(args, "metrics", None):
-        section = {"production": production.manifest_section()}
-        if crosscheck is not None:
-            section["crosscheck"] = crosscheck.manifest_section()
-        path = scheduler.write_manifest(
-            args.metrics, label=label, frontier=section
-        )
-        print(f"run manifest appended to {path}")
-    _report_resume(scheduler)
+        section["crosscheck"] = crosscheck.manifest_section()
+    _record_run(args, scheduler, label, frontier=section)
     failures = _report_failures(scheduler)
     if failures:
         return failures
@@ -768,6 +785,26 @@ def _per_figure_path(template: str, experiment_id: str, multiple: bool) -> Path:
     return path.with_name(f"{path.stem}-{experiment_id}{path.suffix}")
 
 
+def _run_designs(args: argparse.Namespace, specs, label: str, report) -> int:
+    """Run registry designs as one scheduled batch and print their report.
+
+    ``report(scheduler, results)`` prints the command's own report after
+    the manifest and resume lines.  Partial failure (3) outranks a
+    shape-check failure (1): an incomplete campaign can't be judged
+    against the paper's shapes.
+    """
+    with _make_scheduler(args, label=label) as scheduler:
+        results = scheduler.run_batch(
+            specs, replications=args.replications, seed=args.seed
+        )
+    _record_run(args, scheduler, label)
+    report(scheduler, results)
+    failure_code = _report_failures(scheduler)
+    if failure_code:
+        return failure_code
+    return 0 if all(result.all_checks_pass() for result in results) else 1
+
+
 def _command_figure(args: argparse.Namespace) -> int:
     from .design.library import get_experiment
 
@@ -778,44 +815,33 @@ def _command_figure(args: argparse.Namespace) -> int:
         return 2
     if args.engine != "core":
         specs = [dataclasses.replace(spec, engine=args.engine) for spec in specs]
-    label = "figure:" + ",".join(args.experiment_ids)
-    with _make_scheduler(args, label=label) as scheduler:
-        results = scheduler.run_batch(
-            specs, replications=args.replications, seed=args.seed
-        )
-        stats_line = scheduler.stats.format()
-    _write_cli_manifest(args, scheduler, label=label)
-    _report_resume(scheduler)
     multiple = len(specs) > 1
-    all_pass = True
-    for spec, result in zip(specs, results):
-        print(format_experiment_report(result, chart=not args.no_chart))
-        if args.csv:
-            path = export_csv(
-                result, _per_figure_path(args.csv, spec.experiment_id, multiple)
-            )
-            print(f"\nmean curves written to {path}")
-        if args.svg:
-            from .analysis.svg import save_curves_svg
 
-            curves = dict(list(result.mean_curves().items())[:8])
-            path = save_curves_svg(
-                curves,
-                _per_figure_path(args.svg, spec.experiment_id, multiple),
-                title=f"{spec.paper_ref}: {spec.title}",
-                end_time=spec.horizon,
-            )
-            print(f"SVG chart written to {path}")
-        if multiple:
-            print()
-        all_pass = all_pass and result.all_checks_pass()
-    print(f"scheduler: {stats_line}")
-    # Partial failure (3) outranks a shape-check failure (1): an
-    # incomplete campaign can't be judged against the paper's shapes.
-    failure_code = _report_failures(scheduler)
-    if failure_code:
-        return failure_code
-    return 0 if all_pass else 1
+    def report(scheduler, results):
+        for spec, result in zip(specs, results):
+            print(format_experiment_report(result, chart=not args.no_chart))
+            if args.csv:
+                path = export_csv(
+                    result, _per_figure_path(args.csv, spec.experiment_id, multiple)
+                )
+                print(f"\nmean curves written to {path}")
+            if args.svg:
+                from .analysis.svg import save_curves_svg
+
+                curves = dict(list(result.mean_curves().items())[:8])
+                path = save_curves_svg(
+                    curves,
+                    _per_figure_path(args.svg, spec.experiment_id, multiple),
+                    title=f"{spec.paper_ref}: {spec.title}",
+                    end_time=spec.horizon,
+                )
+                print(f"SVG chart written to {path}")
+            if multiple:
+                print()
+        print(f"scheduler: {scheduler.stats.format()}")
+
+    label = "figure:" + ",".join(args.experiment_ids)
+    return _run_designs(args, specs, label, report)
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
@@ -827,49 +853,16 @@ def _command_sweep(args: argparse.Namespace) -> int:
         known = ", ".join(SWEEP_AXES)
         print(f"unknown sweep {args.sweep_id!r}; known: {known}", file=sys.stderr)
         return 2
-    with _make_scheduler(args, label=f"sweep:{args.sweep_id}") as scheduler:
-        result = scheduler.run_experiment(
-            get_experiment(args.sweep_id),
-            replications=args.replications,
-            seed=args.seed,
-        )
-    _write_cli_manifest(args, scheduler, label=f"sweep:{args.sweep_id}")
-    _report_resume(scheduler)
-    print(format_sweep(axis, result))
-    if scheduler.cache is not None:
-        cache = scheduler.cache
-        print(f"cache: {cache.hits} hits, {cache.misses} misses")
-    return _report_failures(scheduler)
 
+    def report(scheduler, results):
+        print(format_sweep(axis, results[0]))
+        if scheduler.cache is not None:
+            cache = scheduler.cache
+            print(f"cache: {cache.hits} hits, {cache.misses} misses")
 
-def _command_scenario(args: argparse.Namespace) -> int:
-    from .core.serialization import SerializationError, load_scenario
-
-    try:
-        scenario = load_scenario(args.path)
-    except (OSError, SerializationError) as exc:
-        print(f"cannot load scenario: {exc}", file=sys.stderr)
-        return 2
-    result_set = replicate_scenario(
-        scenario, replications=args.replications, seed=args.seed
+    return _run_designs(
+        args, [get_experiment(args.sweep_id)], f"sweep:{args.sweep_id}", report
     )
-    summary = result_set.final_summary()
-    print(f"scenario: {scenario.name}  (from {args.path})")
-    print(f"final infected: {summary.format()}")
-    print(
-        f"penetration: {summary.mean / result_set.susceptible_count:.1%} of "
-        f"{result_set.susceptible_count} susceptible phones"
-    )
-    if not args.no_chart:
-        print()
-        print(
-            ascii_chart(
-                {scenario.name: result_set.mean_curve()},
-                title=f"{scenario.name} (mean of {result_set.replications})",
-                end_time=scenario.duration,
-            )
-        )
-    return 0
 
 
 def _command_profile(args: argparse.Namespace) -> int:
@@ -959,44 +952,20 @@ def _command_design(args: argparse.Namespace) -> int:
         )
         return 0
 
-    label = f"design:{design.experiment_id}"
-    with _make_scheduler(args, label=label) as scheduler:
-        result = scheduler.run_experiment(
-            spec, replications=args.replications, seed=args.seed
+    def report(scheduler, results):
+        (result,) = results
+        record = scheduler.design_sections[-1]
+        print(format_experiment_report(result, chart=not args.no_chart))
+        if args.csv:
+            path = export_csv(result, args.csv)
+            print(f"\nmean curves written to {path}")
+        print(
+            f"jobs: {record['requested_jobs']} requested → {record['unique_jobs']} "
+            f"unique (dedup ratio {record['dedup_ratio']})"
         )
-        stats_line = scheduler.stats.format()
-    record = scheduler.design_sections[-1]
-    _write_cli_manifest(args, scheduler, label=label)
-    _report_resume(scheduler)
-    print(format_experiment_report(result, chart=not args.no_chart))
-    if args.csv:
-        path = export_csv(result, args.csv)
-        print(f"\nmean curves written to {path}")
-    print(
-        f"jobs: {record['requested_jobs']} requested → {record['unique_jobs']} "
-        f"unique (dedup ratio {record['dedup_ratio']})"
-    )
-    print(f"scheduler: {stats_line}")
-    failure_code = _report_failures(scheduler)
-    if failure_code:
-        return failure_code
-    return 0 if result.all_checks_pass() else 1
+        print(f"scheduler: {scheduler.stats.format()}")
 
-
-def _load_design_document(path: str) -> dict:
-    """Parse a design file to its raw document (what the daemon accepts)."""
-    import json
-
-    text = Path(path).read_text(encoding="utf-8")
-    if path.lower().endswith(".toml"):
-        try:
-            import tomllib
-        except ImportError:
-            raise SystemExit(
-                "TOML designs need Python 3.11+; re-export as JSON"
-            ) from None
-        return tomllib.loads(text)
-    return json.loads(text)
+    return _run_designs(args, [spec], f"design:{design.experiment_id}", report)
 
 
 def _command_serve(args: argparse.Namespace) -> int:
@@ -1016,10 +985,11 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_submit(args: argparse.Namespace) -> int:
+    from .design.io import read_design_document
     from .service import ServiceClient, ServiceError
 
     try:
-        document = _load_design_document(args.design)
+        document = read_design_document(args.design)
     except (OSError, ValueError) as exc:
         print(f"cannot load design: {exc}", file=sys.stderr)
         return 2
@@ -1127,38 +1097,38 @@ def _command_topology(args: argparse.Namespace) -> int:
     return 0
 
 
+def _command_validate(args: argparse.Namespace) -> int:
+    from .validation.cli import main as validation_main
+
+    return validation_main(args.validation_args)
+
+
+# One handler per subcommand, keyed by the subparser name.  A table
+# rather than ``set_defaults(handler=...)`` keeps each parsed namespace
+# to the command's own flags (``serve`` and ``python -m repro.service``
+# parse to the same namespace).
+_COMMANDS = {
+    "list": _command_list,
+    "run": _command_run,
+    "scenario": _command_scenario,
+    "figure": _command_figure,
+    "sweep": _command_sweep,
+    "frontier": _command_frontier,
+    "validate": _command_validate,
+    "profile": _command_profile,
+    "topology": _command_topology,
+    "design": _command_design,
+    "serve": _command_serve,
+    "submit": _command_submit,
+    "status": _command_status,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _command_list()
-        if args.command == "run":
-            return _command_run(args)
-        if args.command == "figure":
-            return _command_figure(args)
-        if args.command == "frontier":
-            return _command_frontier(args)
-        if args.command == "profile":
-            return _command_profile(args)
-        if args.command == "topology":
-            return _command_topology(args)
-        if args.command == "sweep":
-            return _command_sweep(args)
-        if args.command == "scenario":
-            return _command_scenario(args)
-        if args.command == "design":
-            return _command_design(args)
-        if args.command == "serve":
-            return _command_serve(args)
-        if args.command == "submit":
-            return _command_submit(args)
-        if args.command == "status":
-            return _command_status(args)
-        if args.command == "validate":
-            from .validation.cli import main as validation_main
-
-            return validation_main(args.validation_args)
+        return _COMMANDS[args.command](args)
     except KeyboardInterrupt:
         # The scheduler's context manager already ran abort(): pool
         # terminated, cache temp orphans swept, checkpoint flushed.
@@ -1168,7 +1138,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 130
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -187,8 +187,12 @@ def design_from_dict(document: Dict[str, Any]) -> ExperimentDesign:
     )
 
 
-def load_design(path: Union[str, Path]) -> ExperimentDesign:
-    """Load a design from a ``.toml`` or ``.json`` file."""
+def read_design_document(path: Union[str, Path]) -> Dict[str, Any]:
+    """Parse a ``.toml`` or ``.json`` design file to its raw document.
+
+    The raw document is what :func:`design_from_dict` builds from and
+    what the campaign daemon accepts over its socket.
+    """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".toml":
@@ -213,7 +217,12 @@ def load_design(path: Union[str, Path]) -> ExperimentDesign:
         raise DesignError(
             f"unsupported design file {path.name!r}: expected .toml or .json"
         )
-    return design_from_dict(document)
+    return document
 
 
-__all__ = ["design_from_dict", "load_design"]
+def load_design(path: Union[str, Path]) -> ExperimentDesign:
+    """Load a design from a ``.toml`` or ``.json`` file."""
+    return design_from_dict(read_design_document(path))
+
+
+__all__ = ["design_from_dict", "load_design", "read_design_document"]

@@ -35,7 +35,9 @@ class ContactListFormatError(ValueError):
 def write_contact_lists(graph: CSRAdjacency, destination: Union[str, Path, TextIO]) -> None:
     """Write ``graph`` in contact-list format to a path or text stream."""
     if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8") as handle:
+        path = Path(destination)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as handle:
             _write(graph, handle)
     else:
         _write(graph, destination)

@@ -13,6 +13,20 @@ from repro.core import (
 )
 
 
+@pytest.fixture(autouse=True)
+def _isolated_result_cache(tmp_path_factory, monkeypatch):
+    """Point the default result cache at a fresh directory for each test.
+
+    CLI runs given neither ``--no-cache`` nor ``--cache-dir`` use
+    ``$REPRO_CACHE_DIR`` or ``./.repro-cache``.  Result keys carry no code
+    version, so a cache shared across runs of the suite would serve one
+    version's results to the next version's tests.
+    """
+    monkeypatch.setenv(
+        "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache"))
+    )
+
+
 @pytest.fixture
 def small_network() -> NetworkParameters:
     """A 200-phone network that keeps integration tests fast."""

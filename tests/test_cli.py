@@ -298,3 +298,14 @@ def test_frontier_parser_rejects_standing_mechanisms():
         build_parser().parse_args(
             ["frontier", "--virus", "1", "--response", "monitoring"]
         )
+
+
+def test_topology_out_creates_parent_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "contacts.txt"
+    code = main(
+        ["topology", "--nodes", "40", "--mean-degree", "4",
+         "--model", "random", "--out", str(out)]
+    )
+    assert code == 0
+    assert out.read_text().splitlines()[0] == "# contact-list v1 n=40"
+    assert f"wrote {out}" in capsys.readouterr().out

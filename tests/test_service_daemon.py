@@ -397,6 +397,19 @@ class TestCliOffline:
         assert code == 2
         assert "cannot load design" in capsys.readouterr().err
 
+    def test_submit_unsupported_design_suffix_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        design_file = tmp_path / "design.yaml"
+        design_file.write_text(json.dumps(SMALL_DESIGN), encoding="utf-8")
+        code = main(
+            ["submit", str(design_file), "--socket", str(tmp_path / "d.sock")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot load design: unsupported design file" in err
+        assert "service error" not in err  # rejected before any connect
+
     def test_status_without_daemon_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
