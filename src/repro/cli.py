@@ -50,7 +50,7 @@ import contextlib
 import dataclasses
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from .analysis.report import ascii_chart, format_table
 from .core.parameters import (
@@ -70,6 +70,8 @@ from .obs.metrics import Metrics
 from .core.scenarios import baseline_scenario
 from .des.random import StreamFactory
 from .experiments import (
+    ExperimentResult,
+    ExperimentSpec,
     ReplicationScheduler,
     export_csv,
     format_experiment_report,
@@ -785,7 +787,12 @@ def _per_figure_path(template: str, experiment_id: str, multiple: bool) -> Path:
     return path.with_name(f"{path.stem}-{experiment_id}{path.suffix}")
 
 
-def _run_designs(args: argparse.Namespace, specs, label: str, report) -> int:
+def _run_designs(
+    args: argparse.Namespace,
+    specs: Sequence[ExperimentSpec],
+    label: str,
+    report: Callable[[ReplicationScheduler, List[ExperimentResult]], None],
+) -> int:
     """Run registry designs as one scheduled batch and print their report.
 
     ``report(scheduler, results)`` prints the command's own report after
