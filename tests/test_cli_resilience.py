@@ -94,6 +94,20 @@ class TestPartialFailureExit:
         # The surviving replications are still reported on stdout.
         assert "final infected" in captured.out
 
+    def test_figure_partial_failure_outranks_failed_shape_checks(
+        self, monkeypatch, capsys
+    ):
+        """The design-batch exit code: 1 for a failed shape check, but 3
+        when replications were quarantined, whatever the checks say."""
+        from repro.experiments import ExperimentResult
+
+        monkeypatch.setattr(ExperimentResult, "all_checks_pass", lambda self: False)
+        argv = ["figure", "fig3", "--replications", "2", "--no-chart", "--no-cache"]
+        assert main(argv) == 1
+        self._inject_poison(monkeypatch)
+        assert main(argv) == 3
+        assert "partial failure" in capsys.readouterr().err
+
     def test_success_still_exits_0(self, capsys):
         assert main(BASE + ["--no-cache", "--retries", "1"]) == 0
         assert capsys.readouterr().err == ""

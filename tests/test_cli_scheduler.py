@@ -30,6 +30,23 @@ class TestParser:
         assert args.no_cache is False
 
 
+class TestSweepCommand:
+    def test_sweep_runs_as_a_design_batch(self, tmp_path, capsys):
+        from repro.obs.manifest import read_manifests
+
+        manifest = tmp_path / "m.jsonl"
+        argv = ["sweep", "monitoring_wait", "--replications", "1",
+                "--cache-dir", str(tmp_path / "cache"), "--metrics", str(manifest)]
+        assert main(argv) == 0  # a sweep design has no shape checks
+        out = capsys.readouterr().out
+        assert "sweep monitoring_wait: baseline" in out
+        assert "diminishing-returns knee" in out
+        assert "cache: 0 hits, " in out
+        (record,) = read_manifests(manifest)
+        assert record["label"] == "sweep:monitoring_wait"
+        assert record["design"]
+
+
 class TestRunCommand:
     BASE = [
         "run", "--virus", "3", "--population", "120", "--duration", "4",
