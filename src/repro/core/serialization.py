@@ -169,35 +169,36 @@ def scenario_from_dict(data: Dict[str, Any]) -> ScenarioConfig:
     responses: List[ResponseConfig] = [
         response_from_dict(entry) for entry in data.get("responses", [])
     ]
-    # The sections above raise SerializationError themselves; the
-    # top-level values (duration, engine, ...) are checked here.
+    sections = dict(
+        virus=_dict_to_dataclass(VirusParameters, data["virus"], "virus"),
+        user=_dict_to_dataclass(UserParameters, data.get("user", {}), "user"),
+        network=_dict_to_dataclass(NetworkParameters, data.get("network", {}), "network"),
+        detection=_dict_to_dataclass(
+            DetectionParameters, data.get("detection", {}), "detection"
+        ),
+        mobility=(
+            _dict_to_dataclass(MobilityParameters, data["mobility"], "mobility")
+            if data.get("mobility") is not None
+            else None
+        ),
+        deployment=(
+            _dict_to_dataclass(
+                ResponseDeployment, data["deployment"], "deployment"
+            )
+            if data.get("deployment") is not None
+            else None
+        ),
+    )
+    # Each section checked itself above; the top-level values (duration,
+    # engine, ...) are checked by the constructor.
     try:
         return ScenarioConfig(
             name=data["name"],
             duration=data["duration"],
-            virus=_dict_to_dataclass(VirusParameters, data["virus"], "virus"),
-            user=_dict_to_dataclass(UserParameters, data.get("user", {}), "user"),
-            network=_dict_to_dataclass(NetworkParameters, data.get("network", {}), "network"),
-            detection=_dict_to_dataclass(
-                DetectionParameters, data.get("detection", {}), "detection"
-            ),
             responses=tuple(responses),
             engine=data.get("engine", "core"),
-            mobility=(
-                _dict_to_dataclass(MobilityParameters, data["mobility"], "mobility")
-                if data.get("mobility") is not None
-                else None
-            ),
-            deployment=(
-                _dict_to_dataclass(
-                    ResponseDeployment, data["deployment"], "deployment"
-                )
-                if data.get("deployment") is not None
-                else None
-            ),
+            **sections,
         )
-    except SerializationError:
-        raise
     except (TypeError, ValueError) as exc:
         raise SerializationError(str(exc)) from exc
 

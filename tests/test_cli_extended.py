@@ -63,7 +63,9 @@ def test_scenario_command_invalid_values_exit_2(key, value, message, tmp_path, c
 
 
 def _final_infected(output: str) -> str:
-    (line,) = [l for l in output.splitlines() if l.startswith("final infected: ")]
+    (line,) = [
+        row for row in output.splitlines() if row.startswith("final infected: ")
+    ]
     return line.removeprefix("final infected: ")
 
 
